@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import ga, ingest, metrics, synthgen
-from .core import argmax_classes, fuse_majority, fuse_weighted
+from .core import EnsembleInputs, argmax_classes, fuse_majority, fuse_weighted
 from .errors import DimensionError, SoftvoteError, ValidationError
 
 
@@ -69,6 +69,18 @@ def _load_weights_for(manifest: ingest.Manifest, weights_path: str, subset: list
     return weights[[index[n] for n in subset]]
 
 
+def _load_for_subset(
+    manifest_path: str, subset: str | None
+) -> tuple[ingest.Manifest, EnsembleInputs, list[str] | None]:
+    """The manifest, its ensemble thinned to ``--subset``, and the subset names."""
+    manifest = ingest.read_manifest(manifest_path)
+    inputs = ingest.load_ensemble(manifest, Path(manifest_path).parent)
+    names = _parse_subset(subset)
+    if names is not None:
+        inputs = inputs.subset(names)
+    return manifest, inputs, names
+
+
 @click.group()
 def cli() -> None:
     """Fuse class-probability outputs of several classifiers into one decision."""
@@ -77,16 +89,16 @@ def cli() -> None:
 @cli.command("fuse")
 @click.option("--manifest", "manifest_path", required=True, help="Ensemble manifest JSON.")
 @click.option("--weights", "weights_path", default=None, help="Weights JSON; omit for majority fusion.")
+@click.option("--subset", default=None, help="Comma-separated classifier names to fuse.")
 @click.option("--out", default="-", help="Output CSV path, or - for stdout.")
 @_handled
-def fuse_cmd(manifest_path: str, weights_path: str | None, out: str) -> None:
+def fuse_cmd(manifest_path: str, weights_path: str | None, subset: str | None, out: str) -> None:
     """Write per-sample fused distributions plus a predicted-class column."""
-    manifest = ingest.read_manifest(manifest_path)
-    inputs = ingest.load_ensemble(manifest, Path(manifest_path).parent)
+    manifest, inputs, names = _load_for_subset(manifest_path, subset)
     if weights_path is None:
         fused = fuse_majority(inputs)
     else:
-        fused = fuse_weighted(inputs, _load_weights_for(manifest, weights_path, None))
+        fused = fuse_weighted(inputs, _load_weights_for(manifest, weights_path, names))
     predicted = argmax_classes(fused)
     lines = ["sample_id," + ",".join(f"p{i}" for i in range(inputs.num_classes)) + ",predicted"]
     for sid, row, pred in zip(inputs.sample_ids, fused, predicted):
@@ -128,11 +140,7 @@ def evaluate_cmd(
     manifest_path: str, weights_path: str | None, subset: str | None, out: str, fmt: str
 ) -> None:
     """Score majority or weighted fusion: NLL, accuracy, confusion matrix."""
-    manifest = ingest.read_manifest(manifest_path)
-    inputs = ingest.load_ensemble(manifest, Path(manifest_path).parent)
-    names = _parse_subset(subset)
-    if names is not None:
-        inputs = inputs.subset(names)
+    manifest, inputs, names = _load_for_subset(manifest_path, subset)
     weights = None
     if weights_path is not None:
         weights = _load_weights_for(manifest, weights_path, names)

@@ -8,9 +8,10 @@ counts the same) or through one non-negative weight per classifier:
     majority:  fused[s] = (1/N) * sum_i probs_i[s]
     weighted:  fused[s] = (1/sum_i w_i) * sum_i w_i * probs_i[s]
 
-All values are immutable after construction and safe to share across
-threads. The per-sample sum runs over classifiers in index order, so
-results are bit-identical however the surrounding work is parallelized.
+All values are immutable after construction. The per-sample sum runs
+over classifiers in index order; the weight search's population scorer
+(``metrics._population_nll``) keeps that order, so its scores equal the
+NLL of these fusions bit for bit.
 """
 
 from __future__ import annotations
@@ -254,8 +255,8 @@ def as_weights(weights: Sequence[float] | np.ndarray, n_classifiers: int) -> np.
 
 
 def _fuse_tensor(tensor: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # Accumulate in classifier index order; keeps results independent of
-    # any parallelism in the caller.
+    # Accumulate in classifier index order; metrics._population_nll
+    # repeats these exact operations on the true-class column only.
     total = float(weights.sum())
     fused = weights[0] * tensor[0]
     for i in range(1, tensor.shape[0]):

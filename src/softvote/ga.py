@@ -21,20 +21,23 @@ search can never return anything worse than majority voting.
 Randomness comes from one PCG64 stream seeded by ``GAConfig.seed``. Draws
 happen in a fixed order per generation (subsample indices, parent
 selection, mutation coins, crossover picks); fitness evaluation draws
-nothing, so running it across threads cannot change any result.
+nothing. Scoring needs only each classifier's probability of each sample's
+true class, so ``run_ga`` gathers those once into an (N, S) matrix and
+scores the whole population against it with one blocked kernel,
+:func:`metrics._population_nll`, on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import metrics
-from .core import EnsembleInputs, _frozen, _fuse_tensor
+from .core import EnsembleInputs, _frozen
 from .errors import (
     BreedingError,
     ConfigError,
@@ -42,11 +45,8 @@ from .errors import (
     EmptyInputError,
     ValidationError,
 )
+from .metrics import DEGENERATE_GENE_SUM  # noqa: F401  (kept as ga's public name)
 from .rng import check_seed, make_rng
-
-# Gene sums at or below this are treated as a degenerate (unusable) weight
-# vector and scored +inf so selection can never keep them.
-DEGENERATE_GENE_SUM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,15 @@ class GAConfig:
             raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
         if self.generations < 1:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
+        for name in (
+            "elite_fraction",
+            "extra_parent_fraction",
+            "fitness_sample_fraction",
+            "mutation_rate",
+        ):
+            v = getattr(self, name)
+            if not isinstance(v, Real) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be a real number, got {v!r}")
         for name in ("elite_fraction", "extra_parent_fraction", "fitness_sample_fraction"):
             v = float(getattr(self, name))
             if not 0.0 < v <= 1.0:
@@ -143,12 +152,6 @@ def init_population(
     return [Chromosome(row) for row in genes]
 
 
-def _genes_nll(genes: np.ndarray, tensor: np.ndarray, labels: np.ndarray) -> float:
-    if genes.sum() <= DEGENERATE_GENE_SUM:
-        return math.inf
-    return metrics.nll(_fuse_tensor(tensor, genes), labels)
-
-
 def fitness(
     chromosome: Chromosome,
     inputs: EnsembleInputs,
@@ -169,7 +172,8 @@ def fitness(
         raise ValidationError(
             f"sample index out of range [0, {inputs.num_samples})"
         )
-    return _genes_nll(chromosome.genes, inputs.tensor[:, idx, :], inputs.label_array[idx])
+    true_probs = metrics._true_class_probs(inputs)[:, idx]
+    return float(metrics._population_nll(chromosome.genes[None, :], true_probs)[0])
 
 
 def draw_fitness_sample(
@@ -254,17 +258,9 @@ def crossover_fill(
     return parents + children
 
 
-def _score_population(
-    population: Sequence[Chromosome],
-    tensor: np.ndarray,
-    labels: np.ndarray,
-    threads: int,
-) -> list[float]:
-    if threads <= 1:
-        values = [_genes_nll(ch.genes, tensor, labels) for ch in population]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda ch: _genes_nll(ch.genes, tensor, labels), population))
+def _score_population(population: Sequence[Chromosome], true_probs: np.ndarray) -> list[float]:
+    genes = np.stack([ch.genes for ch in population])
+    values = metrics._population_nll(genes, true_probs).tolist()
     for ch, v in zip(population, values):
         ch.fitness = v
     return values
@@ -279,10 +275,15 @@ def run_ga(
 ) -> GAResult:
     """Run the full weight search and return the best full-data chromosome.
 
-    Deterministic in (inputs, config) regardless of ``threads``. The
-    returned NLL never exceeds the majority-fusion NLL of the same inputs,
-    because the equal-weight baseline competes in the final selection.
+    Deterministic in (inputs, config). The returned NLL never exceeds the
+    majority-fusion NLL of the same inputs, because the equal-weight
+    baseline competes in the final selection.
+
+    ``threads`` must be a positive integer but has no effect on the result
+    or the speed: scoring always runs on the calling thread.
     """
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     config = config or GAConfig()
     n = inputs.n_classifiers
     s = inputs.num_samples
@@ -290,12 +291,11 @@ def run_ga(
         raise EmptyInputError("weight search needs at least 2 samples")
     rng = make_rng(config.seed)
     population = init_population(n, config, rng)
+    true_probs = metrics._true_class_probs(inputs)
     log: list[GenerationStats] = []
     for gen in range(config.generations):
         idx = draw_fitness_sample(s, config.fitness_sample_fraction, rng)
-        values = _score_population(
-            population, inputs.tensor[:, idx, :], inputs.label_array[idx], threads
-        )
+        values = _score_population(population, true_probs[:, idx])
         log.append(GenerationStats(gen, float(min(values)), float(np.mean(values))))
         parents = select_parents(population, config, rng)
         # The generation's best survives untouched; the rest face mutation.
@@ -314,7 +314,7 @@ def run_ga(
         population = next_population
     baseline = Chromosome(np.full(n, 0.5))
     candidates = population + [baseline]
-    full = _score_population(candidates, inputs.tensor, inputs.label_array, threads)
+    full = _score_population(candidates, true_probs)
     best = int(np.argmin(full))  # ties to the lower index; baseline is last
     return GAResult(
         weights=candidates[best].genes.copy(),

@@ -432,7 +432,7 @@ def read_ga_config(path: str | Path) -> GAConfig:
         raise ConfigError(f"{path}: unknown GA config keys {unknown}")
     try:
         return GAConfig(**data)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: bad GA config: {exc}") from None
 
 

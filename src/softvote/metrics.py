@@ -4,6 +4,10 @@ NLL is the arithmetic mean over samples of -ln(p_true), in nats, with the
 true-class probability clipped to [1e-15, 1] inside the log. The lower
 clip keeps degenerate inputs finite; the upper clip only absorbs rounding
 dust above 1.0 so the loss can never dip below zero.
+
+The weight search scores a whole population at once with
+:func:`_population_nll`, which reads only the true-class probabilities and
+reproduces :func:`nll` of each weighted fusion bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +34,13 @@ from .errors import (
 )
 
 NLL_EPSILON = 1e-15
+
+# Gene sums at or below this are treated as a degenerate (unusable) weight
+# vector and scored +inf so selection can never keep them.
+DEGENERATE_GENE_SUM = 1e-12
+
+# Cells in one scratch buffer of population scoring (512 KiB of float64).
+_SCORE_BLOCK_CELLS = 1 << 16
 
 
 def _as_fused(fused: np.ndarray) -> np.ndarray:
@@ -65,6 +76,55 @@ def nll(fused: np.ndarray, labels: LabeledSamples | Sequence[int] | np.ndarray) 
     f, y = _check_pair(fused, labels)
     p = f[np.arange(f.shape[0]), y]
     return float(np.mean(-np.log(np.clip(p, NLL_EPSILON, 1.0))))
+
+
+def _true_class_probs(inputs: EnsembleInputs) -> np.ndarray:
+    """Each classifier's probability of each sample's true class, shape (N, S)."""
+    rows = np.arange(inputs.num_samples)
+    return np.stack([ps.probs[rows, inputs.label_array] for ps in inputs.classifiers])
+
+
+def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
+    """Mean NLL of every gene row's weighted fusion, shape (P,).
+
+    ``genes`` is (P, N) and ``true_probs`` is (N, S), holding each
+    classifier's probability of each sample's true class. Row p equals
+    ``nll(_fuse_tensor(tensor, genes[p]), labels)`` bit for bit: the same
+    products, summed in classifier index order, divided by the row's gene
+    sum, clipped, logged and averaged over the whole row at once. Rows
+    whose gene sum is at most :data:`DEGENERATE_GENE_SUM` score +inf.
+
+    Rows are scored a block at a time in two preallocated scratch buffers
+    of at most :data:`_SCORE_BLOCK_CELLS` cells each (one row when a row
+    alone is longer), so memory does not grow with the population.
+    """
+    n_rows, n_classifiers = genes.shape
+    n_samples = true_probs.shape[1]
+    if n_samples == 0:
+        raise EmptyInputError("need at least one sample")
+    totals = genes.sum(axis=1)
+    degenerate = totals <= DEGENERATE_GENE_SUM
+    # A stand-in divisor keeps degenerate rows finite until they are overwritten.
+    totals[degenerate] = 1.0
+    block = max(1, _SCORE_BLOCK_CELLS // n_samples)
+    fused = np.empty((min(block, n_rows), n_samples))
+    term = np.empty_like(fused)
+    out = np.empty(n_rows)
+    for start in range(0, n_rows, block):
+        stop = min(start + block, n_rows)
+        g = genes[start:stop]
+        acc, tmp = fused[: stop - start], term[: stop - start]
+        np.multiply(g[:, :1], true_probs[0], out=acc)
+        for i in range(1, n_classifiers):
+            np.multiply(g[:, i : i + 1], true_probs[i], out=tmp)
+            acc += tmp
+        acc /= totals[start:stop, None]
+        np.clip(acc, NLL_EPSILON, 1.0, out=acc)
+        np.log(acc, out=acc)
+        np.negative(acc, out=acc)
+        out[start:stop] = acc.mean(axis=1)
+    out[degenerate] = np.inf
+    return out
 
 
 def accuracy(fused: np.ndarray, labels: LabeledSamples | Sequence[int] | np.ndarray) -> float:

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import metrics
-from .core import EnsembleInputs, LabeledSamples, PredictionSet, fuse_weighted
+from .core import EnsembleInputs, LabeledSamples, PredictionSet
 from .errors import ConfigError, OracleScopeError, ValidationError
 from .rng import check_seed, make_rng
 
@@ -119,14 +119,7 @@ def brute_force_weights(
     if not 0.0 < grid_step <= 0.5:
         raise ValidationError(f"grid_step must be in (0, 0.5], got {grid_step!r}")
     divisions = round(1.0 / grid_step)
-    labels = inputs.label_array
-    best_weights: np.ndarray | None = None
-    best_nll = math.inf
-    for counts in _simplex_grid(n, divisions):
-        w = np.array(counts, dtype=np.float64) / divisions
-        value = metrics.nll(fuse_weighted(inputs, w), labels)
-        if value < best_nll:
-            best_nll = value
-            best_weights = w
-    assert best_weights is not None
-    return best_weights, best_nll
+    grid = np.array(list(_simplex_grid(n, divisions)), dtype=np.float64) / divisions
+    values = metrics._population_nll(grid, metrics._true_class_probs(inputs))
+    best = int(np.argmin(values))  # first minimum: the lexicographically smallest
+    return grid[best].copy(), float(values[best])

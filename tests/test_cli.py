@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from softvote import read_report, read_weights
+from softvote import (
+    argmax_classes,
+    fuse_majority,
+    fuse_weighted,
+    load_manifest,
+    read_report,
+    read_weights,
+)
 from softvote.cli import cli
 
 GEN_SPEC = {
@@ -127,6 +134,21 @@ class TestSearchWeights:
         )
         assert result.exit_code == 0
         assert result.stderr.count("generation ") == 2
+
+    @pytest.mark.parametrize("value", ["abc", True])
+    def test_non_real_config_value_is_validation_error(self, bundle, tmp_path, runner, value):
+        config = tmp_path / "ga.json"
+        config.write_text(json.dumps({"elite_fraction": value}), encoding="utf-8")
+        out = tmp_path / "w.json"
+        result = runner.invoke(
+            cli,
+            ["search-weights", "--manifest", str(bundle), "--config", str(config), "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ")
+        assert "ga.json" in result.stderr and "elite_fraction" in result.stderr
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -284,6 +306,35 @@ class TestFuse:
             probs = [float(x) for x in cells[1:-1]]
             assert abs(sum(probs) - 1.0) <= 1e-9
             assert int(cells[-1]) == int(np.argmax(probs))
+
+
+    @pytest.mark.parametrize("with_weights", [False, True])
+    def test_subset_matches_in_process_fusion(self, bundle, tmp_path, runner, with_weights):
+        weights_path = tmp_path / "w.json"
+        weights_path.write_text(
+            json.dumps({"weights": [0.7, 0.2, 0.1], "full_data_nll": 0.5}), encoding="utf-8"
+        )
+        out = tmp_path / "fused.csv"
+        args = ["fuse", "--manifest", str(bundle), "--subset", "weak,strong", "--out", str(out)]
+        if with_weights:
+            args += ["--weights", str(weights_path)]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.output
+        inputs = load_manifest(bundle).subset(["weak", "strong"])
+        # weights follow the classifier names: weak is 0.1, strong is 0.7
+        expected = fuse_weighted(inputs, [0.1, 0.7]) if with_weights else fuse_majority(inputs)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == inputs.num_samples + 1
+        for sid, line, row, pred in zip(inputs.sample_ids, lines[1:], expected, argmax_classes(expected)):
+            cells = line.split(",")
+            assert cells[0] == sid
+            assert [float(x) for x in cells[1:-1]] == row.tolist()
+            assert int(cells[-1]) == int(pred)
+
+    def test_unknown_subset_name_fails_validation(self, bundle, runner):
+        result = runner.invoke(cli, ["fuse", "--manifest", str(bundle), "--subset", "strong,ghost"])
+        assert result.exit_code == 1
+        assert "unknown classifier" in result.stderr
 
 
 class TestReportCommand:

@@ -64,6 +64,27 @@ class TestGAConfig:
     def test_mutation_rate_zero_is_allowed(self):
         GAConfig(mutation_rate=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"elite_fraction": "abc"},
+            {"elite_fraction": True},
+            {"extra_parent_fraction": "0.1"},
+            {"extra_parent_fraction": False},
+            {"fitness_sample_fraction": None},
+            {"fitness_sample_fraction": [0.5]},
+            {"mutation_rate": True},
+            {"mutation_rate": 0.1j},
+        ],
+    )
+    def test_rejects_non_real_fractions(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            GAConfig(**kwargs)
+
+    def test_accepts_any_real_fraction(self):
+        config = GAConfig(elite_fraction=np.float64(0.25), mutation_rate=0, extra_parent_fraction=1)
+        assert config.elite_fraction == 0.25
+
 
 class TestChromosome:
     def test_rejects_out_of_range_genes(self):
@@ -293,6 +314,12 @@ class TestRunGA:
         assert a.full_data_nll == b.full_data_nll
         assert a.generation_log == b.generation_log
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, "x", True, None])
+    def test_rejects_bad_thread_counts(self, threads):
+        inputs = _two_classifier_inputs(1)
+        with pytest.raises(ConfigError, match="threads"):
+            run_ga(inputs, GAConfig(seed=5, generations=1), threads=threads)
+
     def test_log_has_one_entry_per_generation(self):
         inputs = _two_classifier_inputs(2)
         result = run_ga(inputs, GAConfig(generations=3, seed=0))
@@ -384,3 +411,107 @@ class TestRunGA:
         config = GAConfig(population_size=2, elite_fraction=0.5, seed=0)
         with pytest.raises(BreedingError):
             run_ga(one_hot_pair, config)
+
+
+# run_ga results recorded before population scoring was batched: the
+# weights as float hex, repr(full_data_nll), and (generation, best, mean)
+# with the NLLs as float hex. Recorded with numpy 2.4 on x86-64 (AVX-512);
+# a numpy build whose float64 log differs in the last bit would move them.
+PINNED_SEARCHES = {
+    "8x600x10": (
+        GeneratorSpec(
+            10, 600,
+            tuple(ClassifierProfile(f"c{i}", 0.5 + 0.05 * i, 1.0 + 0.3 * i) for i in range(8)),
+            seed=3,
+        ),
+        GAConfig(seed=7),
+    ),
+    "3x400x4": (
+        GeneratorSpec(
+            4, 400,
+            (
+                ClassifierProfile("a", 0.9, 2.0),
+                ClassifierProfile("b", 0.6, 0.5),
+                ClassifierProfile("c", 0.3, 3.0),
+            ),
+            seed=11,
+        ),
+        GAConfig(seed=2, population_size=20, generations=8, mutation_rate=0.3),
+    ),
+    "4x300x100": (
+        GeneratorSpec(
+            100, 300,
+            tuple(ClassifierProfile(f"w{i}", 0.4 + 0.1 * i, 3.0 + i) for i in range(4)),
+            seed=5,
+        ),
+        GAConfig(seed=1, generations=6),
+    ),
+}
+
+PINNED_RESULTS = {
+    "8x600x10": (
+        [
+            '0x1.9cd3560386ba0p-6',
+            '0x1.4cd9b58a3fb80p-4',
+            '0x1.53fda7c8df548p-3',
+            '0x1.87af7c31e5584p-3',
+            '0x1.594c7185a3c40p-6',
+            '0x1.50c603b0378dep-1',
+            '0x1.e06e44e723e06p-1',
+            '0x1.f097b9b95b351p-1',
+        ],
+        "0.7355111226727082",
+        [
+            (0, '0x1.d4f5e80ccf1c6p-1', '0x1.1437fe640e28fp+0'),
+            (1, '0x1.b9aed2bd215dap-1', '0x1.ef66f4a95f7a6p-1'),
+            (2, '0x1.a148196b84080p-1', '0x1.d99949426e17ap-1'),
+            (3, '0x1.85e8bb3abb2a7p-1', '0x1.c9c895512daa6p-1'),
+            (4, '0x1.864f683019516p-1', '0x1.c0d684a4f8da4p-1'),
+        ],
+    ),
+    "3x400x4": (
+        [
+            '0x1.8821db9636ae2p-1',
+            '0x1.b71f02bb349d0p-4',
+            '0x1.ac35ddc7a1950p-4',
+        ],
+        "0.6584003447561168",
+        [
+            (0, '0x1.57f8cd6e40677p-1', '0x1.04cdaad312ba9p+0'),
+            (1, '0x1.831fb266cddb3p-1', '0x1.c449105f4d455p-1'),
+            (2, '0x1.784e2b984dfe1p-1', '0x1.c32a8a2e9a658p-1'),
+            (3, '0x1.655cc7a37e784p-1', '0x1.9c97ba0641c3ep-1'),
+            (4, '0x1.586acfade5225p-1', '0x1.60efdacbf05d7p-1'),
+            (5, '0x1.5110a25e8b476p-1', '0x1.54c26987e961cp-1'),
+            (6, '0x1.3fba9e625884fp-1', '0x1.445e908c9f745p-1'),
+            (7, '0x1.3a3bfb36a4944p-1', '0x1.41330aaacbdb2p-1'),
+        ],
+    ),
+    "4x300x100": (
+        [
+            '0x1.b1da7779c1e08p-4',
+            '0x1.3c6228da227d6p-2',
+            '0x1.950cbe10926b4p-2',
+            '0x1.e1c220376473ap-1',
+        ],
+        "1.1490016977158841",
+        [
+            (0, '0x1.3bd6b502de41fp+0', '0x1.79d25af77e420p+0'),
+            (1, '0x1.143ebfffd9346p+0', '0x1.424457dab4e3ap+0'),
+            (2, '0x1.25f322e6b1989p+0', '0x1.39a1e74c2af9cp+0'),
+            (3, '0x1.1e673f1bd287ep+0', '0x1.2d0633886c6a6p+0'),
+            (4, '0x1.20f0bd840eab5p+0', '0x1.329a79b64bf3fp+0'),
+            (5, '0x1.17344282158a6p+0', '0x1.240e6508020dcp+0'),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+def test_search_matches_pinned_results(name):
+    spec, config = PINNED_SEARCHES[name]
+    weights, full_nll, log = PINNED_RESULTS[name]
+    result = run_ga(generate(spec), config)
+    assert [w.hex() for w in result.weights.tolist()] == weights
+    assert repr(result.full_data_nll) == full_nll
+    assert [(g.generation, g.best_nll.hex(), g.mean_nll.hex()) for g in result.generation_log] == log
