@@ -16,6 +16,7 @@ NLL of these fusions bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -41,6 +42,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _first_duplicate(ids: Sequence[str]) -> str | None:
+    if len(set(ids)) == len(ids):
+        return None
     seen: set[str] = set()
     for sid in ids:
         if sid in seen:
@@ -49,13 +52,45 @@ def _first_duplicate(ids: Sequence[str]) -> str | None:
     return None
 
 
+def _first_invalid_row(probs: np.ndarray) -> tuple[int, str] | None:
+    """The first row of an (S, C) matrix that is not a distribution, and why.
+
+    Within a row the checks run in this order: an entry outside [0, 1]
+    (which catches infinities), a NaN entry, and a sum more than
+    :data:`ROW_SUM_TOLERANCE` away from 1. The sum that decides is
+    ``math.fsum``'s correctly rounded one, which does not depend on the
+    summation order. ``np.sum`` stands in for it wherever it cannot change
+    the decision: on C entries in [0, 1] summing near 1 its rounding error
+    is below (C - 1) * eps / 2, so only rows whose ``np.sum`` lies within
+    2 * C * eps of the tolerance are summed exactly.
+    """
+    outside = ((probs < 0.0) | (probs > 1.0)).any(axis=1)
+    nan = np.isnan(probs).any(axis=1)
+    off = np.abs(probs.sum(axis=1) - 1.0)
+    sum_bad = off > ROW_SUM_TOLERANCE
+    margin = 2.0 * probs.shape[1] * np.finfo(np.float64).eps
+    for row in np.flatnonzero(np.abs(off - ROW_SUM_TOLERANCE) <= margin):
+        sum_bad[row] = abs(math.fsum(probs[row].tolist()) - 1.0) > ROW_SUM_TOLERANCE
+    bad = outside | nan | sum_bad
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    if outside[row]:
+        return row, "probability outside [0, 1]"
+    if nan[row]:
+        return row, "non-finite probability"
+    total = math.fsum(probs[row].tolist())
+    return row, f"probabilities sum to {total!r} (want 1 within {ROW_SUM_TOLERANCE})"
+
+
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
     """One classifier's per-sample class probabilities.
 
     ``probs`` is an (S, C) float64 matrix. Every row must be a probability
-    distribution: entries in [0, 1] that sum to 1 within
-    :data:`ROW_SUM_TOLERANCE`. Sample ids must be unique.
+    distribution: entries in [0, 1] whose exact sum is 1 within
+    :data:`ROW_SUM_TOLERANCE` (see :func:`_first_invalid_row`, which the
+    CSV loader shares). Sample ids must be unique.
     """
 
     classifier_name: str
@@ -77,20 +112,10 @@ class PredictionSet:
         dup = _first_duplicate(self.sample_ids)
         if dup is not None:
             raise ValidationError(f"{name}: duplicate sample_id '{dup}'")
-        if probs.size:
-            if np.any(~np.isfinite(probs)):
-                raise ValidationError(f"{name}: non-finite probability")
-            if np.any(probs < 0.0) or np.any(probs > 1.0):
-                row = int(np.argwhere((probs < 0.0) | (probs > 1.0))[0][0])
-                raise ValidationError(f"{name}: probability outside [0, 1] in row {row}")
-            sums = probs.sum(axis=1)
-            bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
-            if np.any(bad):
-                row = int(np.argmax(bad))
-                raise ValidationError(
-                    f"{name}: row {row} sums to {sums[row]!r} "
-                    f"(want 1 within {ROW_SUM_TOLERANCE})"
-                )
+        bad = _first_invalid_row(probs)
+        if bad is not None:
+            row, reason = bad
+            raise ValidationError(f"{name}: row {row}: {reason}")
         object.__setattr__(self, "probs", _frozen(probs))
 
     @property

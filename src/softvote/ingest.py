@@ -1,6 +1,6 @@
 """File formats, train/held-out splitting, and report rendering.
 
-Formats (all UTF-8; LF written, CRLF accepted on read):
+Formats (all UTF-8; LF written, LF, CRLF and CR accepted on read):
 
   predictions CSV   header ``sample_id,p0,...,p{C-1}``, one row per sample
   labels CSV        header ``sample_id,label``, label an integer in [0, C)
@@ -14,11 +14,25 @@ Formats (all UTF-8; LF written, CRLF accepted on read):
 
 Floats are written with Python's shortest round-trip repr, so
 write -> read -> write is byte-identical.
+
+Both CSV readers share one reader with the csv module's default dialect:
+a cell may be quoted (so an id may hold commas, quotes or line breaks),
+LF, CRLF and CR all end a row, and blank rows are skipped. Row numbers
+count records from the header's 1, blank ones included. Each block of
+rows is converted by one numpy call that parses every cell as ``float()``
+or ``int()`` would, and checked with array operations. An error names the
+file and the first bad row, checked row by row in file order: wrong cell
+count (an extra trailing cell included), repeated sample id, a cell that
+does not parse, then for predictions an entry outside [0, 1] (which
+catches infinities), a NaN entry ("non-finite probability") and a sum
+that misses 1 (decided by ``math.fsum``, as in ``PredictionSet``); for
+labels a value outside [0, C).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -28,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EnsembleInputs, LabeledSamples, PredictionSet, ROW_SUM_TOLERANCE
+from .core import EnsembleInputs, LabeledSamples, PredictionSet, _first_invalid_row
 from .errors import (
     ConfigError,
     FormatError,
@@ -104,13 +118,114 @@ class SplitSpec:
 # ---------------------------------------------------------------- CSV I/O
 
 
-def _float_cell(value: str, path: str, row: int, column: str) -> float:
+# Rows are converted and checked in blocks of about this many cells, so a
+# file is never held as one Python object per cell.
+_BLOCK_CELLS = 1 << 12
+
+
+def _record_blocks(path: Path, text: str, size: int):
+    """Split CSV text into lists of at most ``size`` records, as csv.reader does.
+
+    A blank line is the record ``[]``. Text with no quote character, no
+    NUL and no line longer than the csv field limit is split with
+    ``str.split``: csv.reader splits such a line at every comma, and
+    ends lines at CRLF, CR and LF just as ``open(newline="")`` does.
+    Anything else goes through csv.reader, whose errors become a
+    FormatError after the records before the bad one are yielded.
+    """
+    lines = None
+    if '"' not in text and "\0" not in text:
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        if max(map(len, lines), default=0) > csv.field_size_limit():
+            lines = None
+    if lines is not None:
+        for start in range(0, len(lines), size):
+            yield [line.split(",") if line else [] for line in lines[start : start + size]]
+        return
+    done = 0
+    block: list[list[str]] = []
     try:
-        return float(value)
+        for record in csv.reader(io.StringIO(text, newline="")):
+            block.append(record)
+            if len(block) == size:
+                yield block
+                done += size
+                block = []
+    except csv.Error as exc:
+        yield block
+        raise FormatError(f"{path}: row {done + len(block) + 1}: {exc}") from None
+    if block:
+        yield block
+
+
+def _first_malformed(records, numbers, width: int, seen: dict[str, int]) -> tuple[int, str]:
+    """Index of the first record with the wrong cell count or a repeated id, and why."""
+    for i, (number, record) in enumerate(zip(numbers, records)):
+        if len(record) != width:
+            return i, f"expected {width} cells, got {len(record)}"
+        sid = record[0]
+        if sid in seen:
+            return i, f"duplicate sample_id '{sid}' (first at row {seen[sid]})"
+        seen[sid] = number
+    raise AssertionError("no malformed record")
+
+
+def _read_rows(path: Path, header: list[str]):
+    """Yield the rows of a headed CSV as blocks of (row numbers, sample ids, records).
+
+    Checks the header, skips blank rows and checks each row's cell count
+    and that its sample id is new. Row numbers count records from the
+    header's 1, blank ones included. The first malformed row raises
+    FormatError only after every row before it has been yielded, so a
+    caller that checks each block before taking the next one reports the
+    first bad row of the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    width = len(header)
+    number = 1
+    seen: dict[str, int] = {}
+    for records in _record_blocks(path, text, max(1, _BLOCK_CELLS // width)):
+        if number == 1:
+            if not records or records[0] != header:
+                break
+            records = records[1:]
+            number = 2
+        numbers = range(number, number + len(records))
+        number += len(records)
+        if [] in records:
+            kept = [i for i, record in enumerate(records) if record]
+            numbers = [numbers[i] for i in kept]
+            records = [records[i] for i in kept]
+        ids = [record[0] for record in records]
+        fresh = dict(zip(ids, numbers))
+        if (
+            not set(map(len, records)) <= {width}
+            or len(fresh) < len(ids)
+            or not seen.keys().isdisjoint(fresh)
+        ):
+            i, reason = _first_malformed(records, numbers, width, seen)
+            yield numbers[:i], ids[:i], records[:i]
+            raise FormatError(f"{path}: row {numbers[i]}: {reason}")
+        seen.update(fresh)
+        yield numbers, ids, records
+    if number == 1:
+        raise FormatError(f"{path}: bad header, expected {','.join(header)}")
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
     except ValueError:
-        raise FormatError(
-            f"{path}: row {row}: non-numeric {column} {value!r}"
-        ) from None
+        return False
+    return True
 
 
 def load_predictions(path: str | Path, num_classes: int, name: str | None = None) -> PredictionSet:
@@ -118,45 +233,30 @@ def load_predictions(path: str | Path, num_classes: int, name: str | None = None
     path = Path(path)
     if num_classes < 1:
         raise ValidationError("num_classes must be >= 1")
-    expected_header = ["sample_id"] + [f"p{i}" for i in range(num_classes)]
+    header = ["sample_id"] + [f"p{i}" for i in range(num_classes)]
     ids: list[str] = []
-    rows: list[list[float]] = []
-    seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise FormatError(
-                f"{path}: bad header, expected {','.join(expected_header)}"
+    blocks: list[np.ndarray] = []
+    for numbers, block_ids, records in _read_rows(path, header):
+        cells = [record[1:] for record in records]
+        failure = None
+        try:
+            block = np.array(cells, dtype=np.float64).reshape(len(cells), num_classes)
+        except ValueError:
+            # np.array parses each cell with float(); name the first it rejects.
+            row, cell = next(
+                (i, c) for i, row_cells in enumerate(cells) for c in row_cells if not _is_float(c)
             )
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != num_classes + 1:
-                raise FormatError(
-                    f"{path}: row {lineno}: expected {num_classes + 1} cells, got {len(record)}"
-                )
-            sid = record[0]
-            if sid in seen:
-                raise FormatError(
-                    f"{path}: row {lineno}: duplicate sample_id '{sid}' "
-                    f"(first at row {seen[sid]})"
-                )
-            seen[sid] = lineno
-            values = [
-                _float_cell(cell, str(path), lineno, "probability") for cell in record[1:]
-            ]
-            if any(v < 0.0 or v > 1.0 for v in values):
-                raise FormatError(f"{path}: row {lineno}: probability outside [0, 1]")
-            total = math.fsum(values)
-            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-                raise FormatError(
-                    f"{path}: row {lineno}: probabilities sum to {total!r} "
-                    f"(want 1 within {ROW_SUM_TOLERANCE})"
-                )
-            ids.append(sid)
-            rows.append(values)
-    probs = np.array(rows, dtype=np.float64).reshape(len(ids), num_classes)
+            block = np.array(cells[:row], dtype=np.float64).reshape(row, num_classes)
+            failure = FormatError(f"{path}: row {numbers[row]}: non-numeric probability {cell!r}")
+        bad = _first_invalid_row(block)
+        if bad is not None:
+            row, reason = bad
+            raise FormatError(f"{path}: row {numbers[row]}: {reason}")
+        if failure is not None:
+            raise failure
+        ids.extend(block_ids)
+        blocks.append(block)
+    probs = np.concatenate(blocks) if blocks else np.empty((0, num_classes))
     return PredictionSet(name if name is not None else path.stem, tuple(ids), probs)
 
 
@@ -171,37 +271,37 @@ def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
 def load_labels(path: str | Path, num_classes: int | None = None) -> LabeledSamples:
     path = Path(path)
     ids: list[str] = []
-    labels: list[int] = []
-    seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "label"]:
-            raise FormatError(f"{path}: bad header, expected sample_id,label")
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 2:
-                raise FormatError(f"{path}: row {lineno}: expected 2 cells, got {len(record)}")
-            sid, cell = record
-            if sid in seen:
-                raise FormatError(
-                    f"{path}: row {lineno}: duplicate sample_id '{sid}' "
-                    f"(first at row {seen[sid]})"
-                )
-            seen[sid] = lineno
-            try:
-                label = int(cell)
-            except ValueError:
-                raise FormatError(f"{path}: row {lineno}: non-integer label {cell!r}") from None
-            if label < 0 or (num_classes is not None and label >= num_classes):
-                bound = num_classes if num_classes is not None else "inf"
-                raise LabelRangeError(
-                    f"{path}: row {lineno}: label {label} outside [0, {bound})"
-                )
-            ids.append(sid)
-            labels.append(label)
-    return LabeledSamples(tuple(ids), np.array(labels, dtype=np.int64))
+    blocks: list[np.ndarray] = []
+    for numbers, block_ids, records in _read_rows(path, ["sample_id", "label"]):
+        cells = [record[1] for record in records]
+        try:
+            block = np.array(cells, dtype=np.int64).reshape(len(cells))
+        except (ValueError, OverflowError):
+            block = None  # np.array parses each cell with int()
+        if (
+            block is None
+            or block.min(initial=0) < 0
+            or (num_classes is not None and block.max(initial=0) >= num_classes)
+        ):
+            _raise_first_bad_label(path, numbers, cells, num_classes)
+        ids.extend(block_ids)
+        blocks.append(block)
+    labels = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    return LabeledSamples(tuple(ids), labels)
+
+
+def _raise_first_bad_label(path: Path, numbers, cells, num_classes: int | None) -> None:
+    """Name the first cell of a block that is not an integer label in range."""
+    limit = num_classes if num_classes is not None else 2**63  # what int64 holds
+    for number, cell in zip(numbers, cells):
+        try:
+            label = int(cell)
+        except ValueError:
+            raise FormatError(f"{path}: row {number}: non-integer label {cell!r}") from None
+        if not 0 <= label < limit:
+            bound = num_classes if num_classes is not None else "inf"
+            raise LabelRangeError(f"{path}: row {number}: label {label} outside [0, {bound})")
+    raise AssertionError("no bad label")
 
 
 def write_labels(labels: LabeledSamples, path: str | Path) -> None:
@@ -241,6 +341,27 @@ def _require_keys(data, keys: Sequence[str], path: str | Path, what: str) -> Non
         )
 
 
+def _number(data: dict, key: str, kind: type, path: str | Path, where: str = "") -> int | float:
+    """``data[key]`` as an int, or as a finite float when ``kind`` is float.
+
+    A bool, a string, a non-integral number for an int, or a non-finite
+    value is a FormatError naming the file and the key; nothing is coerced.
+    """
+    value = data[key]
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        try:
+            ok = ok and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+    if not ok:
+        want = "an integer" if kind is int else "a finite number"
+        raise FormatError(f"{path}: {where}{key} must be {want}, got {value!r}")
+    return kind(value)
+
+
 def read_manifest(path: str | Path) -> Manifest:
     data = _load_json(path)
     _require_keys(data, ["num_classes", "class_names", "classifiers", "labels"], path, "manifest")
@@ -249,7 +370,7 @@ def read_manifest(path: str | Path) -> Manifest:
         _require_keys(item, ["name", "path"], path, "manifest classifier")
         entries.append(ManifestEntry(name=str(item["name"]), path=str(item["path"])))
     return Manifest(
-        num_classes=int(data["num_classes"]),
+        num_classes=_number(data, "num_classes", int, path),
         class_names=tuple(str(n) for n in data["class_names"]),
         classifiers=tuple(entries),
         labels_path=str(data["labels"]),
@@ -444,20 +565,21 @@ def read_generator_spec(path: str | Path) -> GeneratorSpec:
     data = _load_json(path)
     _require_keys(data, ["num_classes", "num_samples", "seed", "classifiers"], path, "generator spec")
     profiles = []
-    for item in data["classifiers"]:
+    for i, item in enumerate(data["classifiers"]):
         _require_keys(item, ["name", "accuracy", "sharpness"], path, "classifier profile")
+        where = f"classifiers[{i}]."
         profiles.append(
             ClassifierProfile(
                 name=str(item["name"]),
-                accuracy=float(item["accuracy"]),
-                sharpness=float(item["sharpness"]),
+                accuracy=_number(item, "accuracy", float, path, where),
+                sharpness=_number(item, "sharpness", float, path, where),
             )
         )
     return GeneratorSpec(
-        num_classes=int(data["num_classes"]),
-        num_samples=int(data["num_samples"]),
+        num_classes=_number(data, "num_classes", int, path),
+        num_samples=_number(data, "num_samples", int, path),
         profiles=tuple(profiles),
-        seed=int(data["seed"]),
+        seed=_number(data, "seed", int, path),
     )
 
 

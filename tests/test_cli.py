@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -403,3 +404,57 @@ class TestExitCodes:
         victim.write_text("\n".join(text) + "\n", encoding="utf-8")
         result = runner.invoke(cli, ["evaluate", "--manifest", str(bundle)])
         assert result.exit_code == 1
+
+
+class TestMalformedInputsExitOne:
+    def _corrupt_cell(self, bundle, value):
+        manifest = json.loads(bundle.read_text(encoding="utf-8"))
+        victim = bundle.parent / manifest["classifiers"][1]["path"]
+        lines = victim.read_text(encoding="utf-8").splitlines()
+        cells = lines[3].split(",")
+        cells[2] = value
+        lines[3] = ",".join(cells)
+        victim.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return victim
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [("nan", "non-finite probability"), ("inf", r"probability outside \[0, 1\]")],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "search-weights", "fuse"])
+    def test_non_finite_cell_names_file_and_row(self, bundle, tmp_path, runner, value, reason, command):
+        victim = self._corrupt_cell(bundle, value)
+        out = ["--out", str(tmp_path / "w.json")] if command == "search-weights" else []
+        result = runner.invoke(cli, [command, "--manifest", str(bundle)] + out)
+        assert result.exit_code == 1
+        assert re.search(f"^error: {re.escape(str(victim))}: row 4: {reason}$", result.stderr, re.M)
+
+    def test_string_num_classes_in_manifest(self, bundle, runner):
+        manifest = json.loads(bundle.read_text(encoding="utf-8"))
+        manifest["num_classes"] = "x"
+        bundle.write_text(json.dumps(manifest), encoding="utf-8")
+        result = runner.invoke(cli, ["evaluate", "--manifest", str(bundle)])
+        assert result.exit_code == 1
+        assert "num_classes must be an integer, got 'x'" in result.stderr
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+            ({"accuracy": "abc"}, "classifiers[0].accuracy must be a finite number, got 'abc'"),
+        ],
+    )
+    def test_bad_generator_spec_value(self, tmp_path, runner, change, message):
+        spec = json.loads(json.dumps(GEN_SPEC))
+        if "accuracy" in change:
+            spec["classifiers"][0]["accuracy"] = change["accuracy"]
+        else:
+            spec.update(change)
+        spec_path = tmp_path / "gen.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        result = runner.invoke(cli, ["simulate", "--config", str(spec_path), "--out", str(out_dir)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: {spec_path}: {message}")
+        assert not out_dir.exists()

@@ -410,3 +410,77 @@ class TestLabelsFile:
         p.write_text("sample_id,label\na,0\na,1\n", encoding="utf-8")
         with pytest.raises(FormatError, match="duplicate"):
             load_labels(p, 3)
+
+
+class TestTypedJsonFields:
+    def _manifest(self, tmp_path, num_classes):
+        p = tmp_path / "manifest.json"
+        p.write_text(
+            json.dumps(
+                {
+                    "num_classes": num_classes,
+                    "class_names": ["a", "b"],
+                    "classifiers": [{"name": "m", "path": "m.csv"}],
+                    "labels": "labels.csv",
+                }
+            ),
+            encoding="utf-8",
+        )
+        return p
+
+    def _spec(self, tmp_path, **overrides):
+        spec = {
+            "num_classes": 4,
+            "num_samples": 10,
+            "seed": 3,
+            "classifiers": [{"name": "a", "accuracy": 0.9, "sharpness": 2.0}],
+        }
+        profile = {k: overrides.pop(k) for k in ("accuracy", "sharpness") if k in overrides}
+        spec["classifiers"][0].update(profile)
+        spec.update(overrides)
+        p = tmp_path / "gen.json"
+        p.write_text(json.dumps(spec), encoding="utf-8")
+        return p
+
+    def test_manifest_string_num_classes(self, tmp_path):
+        with pytest.raises(FormatError, match=r"manifest\.json: num_classes must be an integer, got 'x'"):
+            read_manifest(self._manifest(tmp_path, "x"))
+
+    def test_manifest_fractional_num_classes(self, tmp_path):
+        with pytest.raises(FormatError, match=r"manifest\.json: num_classes must be an integer, got 10\.7"):
+            read_manifest(self._manifest(tmp_path, 10.7))
+
+    @pytest.mark.parametrize("value", [True, 2.0, None, [2]])
+    def test_manifest_other_non_integers(self, tmp_path, value):
+        with pytest.raises(FormatError, match="num_classes must be an integer"):
+            read_manifest(self._manifest(tmp_path, value))
+
+    def test_generator_string_accuracy(self, tmp_path):
+        with pytest.raises(
+            FormatError, match=r"gen\.json: classifiers\[0\]\.accuracy must be a finite number, got 'abc'"
+        ):
+            read_generator_spec(self._spec(tmp_path, accuracy="abc"))
+
+    def test_generator_fractional_seed(self, tmp_path):
+        with pytest.raises(FormatError, match=r"gen\.json: seed must be an integer, got 1\.9"):
+            read_generator_spec(self._spec(tmp_path, seed=1.9))
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"num_samples": "10"}, "num_samples"),
+            ({"num_classes": False}, "num_classes"),
+            ({"sharpness": True}, r"classifiers\[0\]\.sharpness"),
+            ({"accuracy": float("nan")}, r"classifiers\[0\]\.accuracy"),
+            ({"sharpness": float("inf")}, r"classifiers\[0\]\.sharpness"),
+            ({"sharpness": 10**400}, r"classifiers\[0\]\.sharpness"),
+        ],
+    )
+    def test_generator_other_bad_values(self, tmp_path, overrides, key):
+        with pytest.raises(FormatError, match=key + " must be"):
+            read_generator_spec(self._spec(tmp_path, **overrides))
+
+    def test_integral_json_numbers_are_accepted_for_reals(self, tmp_path):
+        spec = read_generator_spec(self._spec(tmp_path, accuracy=1, sharpness=0))
+        assert spec.profiles[0] == ClassifierProfile("a", 1.0, 0.0)
+        assert isinstance(spec.profiles[0].accuracy, float)
