@@ -11,6 +11,7 @@ import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 import click
 import numpy as np
@@ -35,12 +36,13 @@ def _handled(fn):
     return wrapper
 
 
-def _emit(text: str, out: str) -> None:
+def _emit(chunks: Iterable[str], out: str) -> None:
+    """Write text to stdout when ``out`` is ``-``, else replace the file ``out`` with it."""
     if out == "-":
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        ingest._write_text(out, chunks)
 
 
 def _parse_subset(subset: str | None) -> list[str] | None:
@@ -99,11 +101,8 @@ def fuse_cmd(manifest_path: str, weights_path: str | None, subset: str | None, o
         fused = fuse_majority(inputs)
     else:
         fused = fuse_weighted(inputs, _load_weights_for(manifest, weights_path, names))
-    predicted = argmax_classes(fused)
-    lines = ["sample_id," + ",".join(f"p{i}" for i in range(inputs.num_classes)) + ",predicted"]
-    for sid, row, pred in zip(inputs.sample_ids, fused, predicted):
-        lines.append(sid + "," + ",".join(repr(float(v)) for v in row) + f",{int(pred)}")
-    _emit("\n".join(lines) + "\n", out)
+    header = ingest._prob_columns(inputs.num_classes) + ["predicted"]
+    _emit(ingest._csv_text(header, inputs.sample_ids, fused, argmax_classes(fused)), out)
 
 
 @cli.command("search-weights")
@@ -146,9 +145,9 @@ def evaluate_cmd(
         weights = _load_weights_for(manifest, weights_path, names)
     report = metrics.evaluate(inputs, weights)
     if fmt == "json":
-        _emit(ingest.report_to_json(report), out)
+        _emit([ingest.report_to_json(report)], out)
     else:
-        _emit(ingest.render_report_table(report, manifest.class_names), out)
+        _emit([ingest.render_report_table(report, manifest.class_names)], out)
 
 
 @cli.command("simulate")
@@ -173,7 +172,7 @@ def report_cmd(report_path: str, manifest_path: str | None, out: str, fmt: str) 
     """Render a stored evaluation report."""
     report = ingest.read_report(report_path)
     if fmt == "json":
-        _emit(ingest.report_to_json(report), out)
+        _emit([ingest.report_to_json(report)], out)
         return
     if manifest_path is not None:
         class_names = ingest.read_manifest(manifest_path).class_names
@@ -181,7 +180,7 @@ def report_cmd(report_path: str, manifest_path: str | None, out: str, fmt: str) 
         class_names = ingest.default_class_names()
     else:
         class_names = None
-    _emit(ingest.render_report_table(report, class_names), out)
+    _emit([ingest.render_report_table(report, class_names)], out)
 
 
 def main() -> None:

@@ -4,6 +4,7 @@ Formats (all UTF-8; LF written, LF, CRLF and CR accepted on read):
 
   predictions CSV   header ``sample_id,p0,...,p{C-1}``, one row per sample
   labels CSV        header ``sample_id,label``, label an integer in [0, C)
+  fused CSV         header ``sample_id,p0,...,p{C-1},predicted`` (``fuse``)
   manifest JSON     keys ``num_classes``, ``class_names``, ``classifiers``
                     (array of ``{name, path}``), ``labels``; paths resolve
                     relative to the manifest's own directory
@@ -12,8 +13,18 @@ Formats (all UTF-8; LF written, LF, CRLF and CR accepted on read):
                     ``per_class_accuracy``, ``classifier_names``,
                     ``sample_count``
 
+Numbers in the manifest, generator spec, weights and report JSON are read
+by one typed helper: a bool, a string, a float for an int or a non-finite
+value is an error naming the file and the key, never coerced.
+
 Floats are written with Python's shortest round-trip repr, so
-write -> read -> write is byte-identical.
+write -> read -> write is byte-identical. Every CSV (predictions, labels
+and the fused output) comes from one writer that formats one block of
+rows at a time. A sample id holding a comma, a double quote, LF or CR is
+written double-quoted with its quotes doubled; for ids without CR these
+are the bytes of ``csv.writer(lineterminator="\\n")``. Every output file
+is written to a new temp file beside the target and then moved onto it,
+so a failed write leaves the old file as it was.
 
 Both CSV readers share one reader with the csv module's default dialect:
 a cell may be quoted (so an id may hold commas, quotes or line breaks),
@@ -33,12 +44,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -220,6 +233,73 @@ def _read_rows(path: Path, header: list[str]):
         raise FormatError(f"{path}: bad header, expected {','.join(header)}")
 
 
+def _prob_columns(num_classes: int) -> list[str]:
+    """The header cells of a predictions CSV."""
+    return ["sample_id"] + [f"p{i}" for i in range(num_classes)]
+
+
+# An id holding one of these is written quoted; csv.writer leaves a lone CR
+# unquoted, and the reader then ends the row there.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_id(sid: str) -> str:
+    return '"' + sid.replace('"', '""') + '"' if _NEEDS_QUOTES.search(sid) else sid
+
+
+def _csv_text(
+    header: Sequence[str],
+    sample_ids: Sequence[str],
+    values: np.ndarray,
+    predicted: np.ndarray | None = None,
+) -> Iterator[str]:
+    """A headed CSV as one string per block of about ``_BLOCK_CELLS`` cells.
+
+    Row i holds sample id i, then ``repr`` of each entry of ``values[i]``
+    (shortest round-trip for floats), then ``predicted[i]`` when given.
+    Only one block's text and Python objects exist at a time.
+    """
+    yield ",".join(header) + "\n"
+    size = max(1, _BLOCK_CELLS // len(header))
+    for start in range(0, len(sample_ids), size):
+        ids = sample_ids[start : start + size]
+        if _NEEDS_QUOTES.search("".join(ids)):
+            ids = list(map(_csv_id, ids))
+        rows = values[start : start + size].tolist()
+        if predicted is None:
+            ends = itertools.repeat("\n")
+        else:
+            ends = [f",{p}\n" for p in predicted[start : start + size].tolist()]
+        yield "".join([f"{sid},{','.join(map(repr, row))}{end}" for sid, row, end in zip(ids, rows, ends)])
+
+
+def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` as UTF-8 to a new file beside ``path``, then move it onto ``path``.
+
+    The temp file is opened with mode "x", so it is new and the umask sets
+    its permissions. On any exception it is removed and ``path`` is left
+    as it was. A target that exists and is not a regular file, such as
+    ``/dev/null`` or a pipe, is written in place instead of being replaced.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        return
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def _is_float(cell: str) -> bool:
     try:
         float(cell)
@@ -233,7 +313,7 @@ def load_predictions(path: str | Path, num_classes: int, name: str | None = None
     path = Path(path)
     if num_classes < 1:
         raise ValidationError("num_classes must be >= 1")
-    header = ["sample_id"] + [f"p{i}" for i in range(num_classes)]
+    header = _prob_columns(num_classes)
     ids: list[str] = []
     blocks: list[np.ndarray] = []
     for numbers, block_ids, records in _read_rows(path, header):
@@ -261,11 +341,8 @@ def load_predictions(path: str | Path, num_classes: int, name: str | None = None
 
 
 def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id"] + [f"p{i}" for i in range(predictions.num_classes)])
-        for sid, row in zip(predictions.sample_ids, predictions.probs):
-            writer.writerow([sid] + [repr(float(v)) for v in row])
+    header = _prob_columns(predictions.num_classes)
+    _write_text(path, _csv_text(header, predictions.sample_ids, predictions.probs))
 
 
 def load_labels(path: str | Path, num_classes: int | None = None) -> LabeledSamples:
@@ -305,11 +382,8 @@ def _raise_first_bad_label(path: Path, numbers, cells, num_classes: int | None) 
 
 
 def write_labels(labels: LabeledSamples, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "label"])
-        for sid, label in zip(labels.sample_ids, labels.labels):
-            writer.writerow([sid, int(label)])
+    column = labels.labels.reshape(-1, 1)
+    _write_text(path, _csv_text(["sample_id", "label"], labels.sample_ids, column))
 
 
 # --------------------------------------------------------------- JSON I/O
@@ -324,8 +398,7 @@ def _load_json(path: str | Path):
 
 
 def _dump_json(obj, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+    _write_text(path, [json.dumps(obj, indent=2) + "\n"])
 
 
 def _require_keys(data, keys: Sequence[str], path: str | Path, what: str) -> None:
@@ -341,13 +414,12 @@ def _require_keys(data, keys: Sequence[str], path: str | Path, what: str) -> Non
         )
 
 
-def _number(data: dict, key: str, kind: type, path: str | Path, where: str = "") -> int | float:
-    """``data[key]`` as an int, or as a finite float when ``kind`` is float.
+def _number(value, key: str, kind: type, path: str | Path) -> int | float:
+    """JSON ``value`` of ``key`` as an int, or as a finite float when ``kind`` is float.
 
     A bool, a string, a non-integral number for an int, or a non-finite
     value is a FormatError naming the file and the key; nothing is coerced.
     """
-    value = data[key]
     if kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
@@ -358,8 +430,15 @@ def _number(data: dict, key: str, kind: type, path: str | Path, where: str = "")
             ok = False
     if not ok:
         want = "an integer" if kind is int else "a finite number"
-        raise FormatError(f"{path}: {where}{key} must be {want}, got {value!r}")
+        raise FormatError(f"{path}: {key} must be {want}, got {value!r}")
     return kind(value)
+
+
+def _reals(values, key: str, path: str | Path) -> list[float]:
+    """A JSON array of finite numbers, each read by ``_number``."""
+    if not isinstance(values, list):
+        raise FormatError(f"{path}: {key} must be an array, got {values!r}")
+    return [_number(v, f"{key}[{i}]", float, path) for i, v in enumerate(values)]
 
 
 def read_manifest(path: str | Path) -> Manifest:
@@ -370,7 +449,7 @@ def read_manifest(path: str | Path) -> Manifest:
         _require_keys(item, ["name", "path"], path, "manifest classifier")
         entries.append(ManifestEntry(name=str(item["name"]), path=str(item["path"])))
     return Manifest(
-        num_classes=_number(data, "num_classes", int, path),
+        num_classes=_number(data["num_classes"], "num_classes", int, path),
         class_names=tuple(str(n) for n in data["class_names"]),
         classifiers=tuple(entries),
         labels_path=str(data["labels"]),
@@ -409,15 +488,12 @@ def load_manifest(path: str | Path) -> EnsembleInputs:
 def read_weights(path: str | Path) -> tuple[np.ndarray, float]:
     data = _load_json(path)
     _require_keys(data, ["weights", "full_data_nll"], path, "weights file")
-    try:
-        weights = np.array([float(v) for v in data["weights"]], dtype=np.float64)
-        nll_value = float(data["full_data_nll"])
-    except (TypeError, ValueError):
-        raise FormatError(f"{path}: weights and full_data_nll must be numeric") from None
-    if weights.ndim != 1 or weights.size == 0:
+    weights = np.array(_reals(data["weights"], "weights", path), dtype=np.float64)
+    if weights.size == 0:
         raise FormatError(f"{path}: weights must be a non-empty array")
-    if not math.isfinite(nll_value) or nll_value < 0.0:
-        raise FormatError(f"{path}: full_data_nll must be a non-negative real")
+    nll_value = _number(data["full_data_nll"], "full_data_nll", float, path)
+    if nll_value < 0.0:
+        raise FormatError(f"{path}: full_data_nll must be non-negative, got {nll_value!r}")
     return weights, nll_value
 
 
@@ -444,13 +520,19 @@ REPORT_KEYS = (
 def read_report(path: str | Path) -> EvaluationReport:
     data = _load_json(path)
     _require_keys(data, REPORT_KEYS, path, "report")
+    confusion = data["confusion"]
+    if not isinstance(confusion, list):
+        raise FormatError(f"{path}: confusion must be an array, got {confusion!r}")
+    rows = [_reals(row, f"confusion[{i}]", path) for i, row in enumerate(confusion)]
+    if len(set(map(len, rows))) > 1:
+        raise FormatError(f"{path}: confusion rows must all have the same length")
     return EvaluationReport(
-        nll=float(data["nll"]),
-        accuracy_percent=float(data["accuracy_percent"]),
-        confusion=np.array(data["confusion"], dtype=np.float64),
-        per_class_accuracy=np.array(data["per_class_accuracy"], dtype=np.float64),
+        nll=_number(data["nll"], "nll", float, path),
+        accuracy_percent=_number(data["accuracy_percent"], "accuracy_percent", float, path),
+        confusion=np.array(rows, dtype=np.float64),
+        per_class_accuracy=np.array(_reals(data["per_class_accuracy"], "per_class_accuracy", path)),
         classifier_names=tuple(str(n) for n in data["classifier_names"]),
-        sample_count=int(data["sample_count"]),
+        sample_count=_number(data["sample_count"], "sample_count", int, path),
     )
 
 
@@ -526,8 +608,7 @@ def write_report(
         text = render_report_table(report, class_names)
     else:
         raise ValidationError(f"unknown report format {format!r} (want json or table)")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, [text])
 
 
 # ------------------------------------------------------------ config files
@@ -571,15 +652,15 @@ def read_generator_spec(path: str | Path) -> GeneratorSpec:
         profiles.append(
             ClassifierProfile(
                 name=str(item["name"]),
-                accuracy=_number(item, "accuracy", float, path, where),
-                sharpness=_number(item, "sharpness", float, path, where),
+                accuracy=_number(item["accuracy"], where + "accuracy", float, path),
+                sharpness=_number(item["sharpness"], where + "sharpness", float, path),
             )
         )
     return GeneratorSpec(
-        num_classes=_number(data, "num_classes", int, path),
-        num_samples=_number(data, "num_samples", int, path),
+        num_classes=_number(data["num_classes"], "num_classes", int, path),
+        num_samples=_number(data["num_samples"], "num_samples", int, path),
         profiles=tuple(profiles),
-        seed=_number(data, "seed", int, path),
+        seed=_number(data["seed"], "seed", int, path),
     )
 
 

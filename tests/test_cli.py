@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -7,12 +8,16 @@ import pytest
 from click.testing import CliRunner
 
 from softvote import (
+    EnsembleInputs,
+    LabeledSamples,
+    PredictionSet,
     argmax_classes,
     fuse_majority,
     fuse_weighted,
     load_manifest,
     read_report,
     read_weights,
+    write_ensemble,
 )
 from softvote.cli import cli
 
@@ -337,6 +342,26 @@ class TestFuse:
         assert result.exit_code == 1
         assert "unknown classifier" in result.stderr
 
+    def test_odd_ids_are_quoted_and_stdout_matches_file(self, tmp_path, runner):
+        ids = ("a,b", 'q"q', '"x"', "l\nm", "c\rd", "plain")
+        rng = np.random.default_rng(3)
+        inputs = EnsembleInputs(
+            tuple(PredictionSet(f"m{k}", ids, rng.dirichlet(np.ones(4), size=len(ids))) for k in range(2)),
+            LabeledSamples(ids, [0, 1, 2, 3, 0, 1]),
+        )
+        manifest = write_ensemble(inputs, tmp_path / "odd")
+        out = tmp_path / "fused.csv"
+        result = runner.invoke(cli, ["fuse", "--manifest", str(manifest), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["sample_id", "p0", "p1", "p2", "p3", "predicted"]
+        assert tuple(row[0] for row in rows[1:]) == ids
+        assert {len(row) for row in rows} == {4 + 2}
+        to_stdout = runner.invoke(cli, ["fuse", "--manifest", str(manifest), "--out", "-"])
+        assert to_stdout.exit_code == 0
+        assert to_stdout.stdout_bytes == out.read_bytes()
+
 
 class TestReportCommand:
     def _report_file(self, bundle, tmp_path, runner):
@@ -458,3 +483,30 @@ class TestMalformedInputsExitOne:
         assert result.exit_code == 1
         assert result.stderr.startswith(f"error: {spec_path}: {message}")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"nll": "abc"}, "nll must be a finite number, got 'abc'"),
+            ({"sample_count": 2.7}, "sample_count must be an integer, got 2.7"),
+            ({"sample_count": True}, "sample_count must be an integer, got True"),
+        ],
+    )
+    def test_bad_report_value(self, bundle, tmp_path, runner, change, message):
+        report = tmp_path / "report.json"
+        args = ["evaluate", "--manifest", str(bundle), "--format", "json", "--out", str(report)]
+        assert runner.invoke(cli, args).exit_code == 0
+        data = json.loads(report.read_text(encoding="utf-8"))
+        data.update(change)
+        report.write_text(json.dumps(data), encoding="utf-8")
+        result = runner.invoke(cli, ["report", str(report)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {report}: {message}\n"
+
+    def test_bad_weights_values(self, bundle, tmp_path, runner):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": [True, "0.5", 1.0], "full_data_nll": "0.3"}), encoding="utf-8")
+        for command in ("evaluate", "fuse"):
+            result = runner.invoke(cli, [command, "--manifest", str(bundle), "--weights", str(weights)])
+            assert result.exit_code == 1
+            assert result.stderr == f"error: {weights}: weights[0] must be a finite number, got True\n"

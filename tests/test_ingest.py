@@ -484,3 +484,53 @@ class TestTypedJsonFields:
         spec = read_generator_spec(self._spec(tmp_path, accuracy=1, sharpness=0))
         assert spec.profiles[0] == ClassifierProfile("a", 1.0, 0.0)
         assert isinstance(spec.profiles[0].accuracy, float)
+
+    def _report(self, tmp_path, **changes):
+        conf = [[100.0, 0.0], [0.0, 100.0]]
+        data = {
+            "nll": 0.1,
+            "accuracy_percent": 100.0,
+            "confusion": conf,
+            "per_class_accuracy": [100.0, 100.0],
+            "classifier_names": ["a"],
+            "sample_count": 4,
+        }
+        data.update(changes)
+        p = tmp_path / "report.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        return p
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"accuracy_percent": "100"}, "accuracy_percent must be a finite number, got '100'"),
+            ({"confusion": [[100.0, "0"], [0.0, 100.0]]}, r"confusion\[0\]\[1\] must be a finite number"),
+            ({"confusion": [[100.0, 0.0], [100.0]]}, "confusion rows must all have the same length"),
+            ({"confusion": "abc"}, "confusion must be an array, got 'abc'"),
+            ({"per_class_accuracy": [100.0, False]}, r"per_class_accuracy\[1\] must be a finite number"),
+        ],
+    )
+    def test_report_fields_are_typed(self, tmp_path, changes, message):
+        with pytest.raises(FormatError, match=r"report\.json: " + message):
+            read_report(self._report(tmp_path, **changes))
+
+    def test_report_integral_numbers_are_accepted_for_reals(self, tmp_path):
+        report = read_report(self._report(tmp_path, nll=0, confusion=[[100, 0], [0, 100]]))
+        assert report.nll == 0.0
+        assert report.confusion.tolist() == [[100.0, 0.0], [0.0, 100.0]]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"weights": [1.0, "0.5"], "full_data_nll": 0.3}, r"weights\[1\] must be a finite number, got '0\.5'"),
+            ({"weights": [1.0, 0.5], "full_data_nll": "0.3"}, "full_data_nll must be a finite number, got '0.3'"),
+            ({"weights": "1.0", "full_data_nll": 0.3}, "weights must be an array, got '1.0'"),
+            ({"weights": [], "full_data_nll": 0.3}, "weights must be a non-empty array"),
+            ({"weights": [1.0], "full_data_nll": float("nan")}, "full_data_nll must be a finite number"),
+        ],
+    )
+    def test_weights_fields_are_typed(self, tmp_path, data, message):
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(FormatError, match=r"w\.json: " + message):
+            read_weights(p)
