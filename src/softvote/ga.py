@@ -18,13 +18,31 @@ all-0.5 baseline chromosome are scored on ALL samples and the lowest
 full-data NLL wins. The baseline is exactly equal-weight fusion, so the
 search can never return anything worse than majority voting.
 
-Randomness comes from one PCG64 stream seeded by ``GAConfig.seed``. Draws
-happen in a fixed order per generation (subsample indices, parent
-selection, mutation coins, crossover picks); fitness evaluation draws
-nothing. Scoring needs only each classifier's probability of each sample's
-true class, so ``run_ga`` gathers those once into an (N, S) matrix and
-scores the whole population against it with one blocked kernel,
-:func:`metrics._population_nll`, on the calling thread.
+Randomness comes from one PCG64 stream seeded by ``GAConfig.seed``. The
+initial population is one ``random((P, N))`` draw (row 0 is then set to
+0.5). Each generation then draws, in this order:
+
+  * subsample: one ``choice(S, k, replace=False)``;
+  * selection: one ``choice(P - elites, extras, replace=False)`` picking
+    the extra parents among the non-elites, skipped when ``extras`` is 0;
+  * mutation: for each parent after the best, in parent order, one coin
+    ``random()``; a parent whose coin is below the rate then draws the new
+    gene value ``random()`` and after it the gene index ``integers(N)``;
+  * crossover: for each child, in order, ``choice(parents, 2,
+    replace=False)`` for its parents a and b, then ``random(N)``; gene j
+    comes from a where that draw is below 1/2, else from b.
+
+Fitness evaluation draws nothing. Scoring needs only each classifier's
+probability of each sample's true class, so ``run_ga`` gathers those once
+into an (N, S) matrix and scores the whole population against it with one
+blocked kernel, :func:`metrics._population_nll`, on the calling thread.
+
+``run_ga`` holds the population as one (P, N) float64 gene array and
+breeds each next generation into a second, preallocated one; ``Chromosome``
+objects are built only for an ``on_generation`` observer.
+:func:`init_population`, :func:`select_parents`, :func:`mutate_parents`
+and :func:`crossover_fill` are the same row operations over lists of
+``Chromosome``.
 """
 
 from __future__ import annotations
@@ -92,6 +110,13 @@ class GAConfig:
         check_seed(self.seed)
 
 
+def _check_genes(genes: np.ndarray) -> None:
+    """Every gene of a row or of a whole (P, N) array lies in [0, 1]."""
+    # NaN fails both comparisons.
+    if not (genes.min() >= 0.0 and genes.max() <= 1.0):
+        raise ValidationError("genes must lie in [0, 1]")
+
+
 @dataclass(eq=False)
 class Chromosome:
     """Candidate weight vector with its most recent fitness, if scored."""
@@ -103,8 +128,7 @@ class Chromosome:
         genes = np.array(self.genes, dtype=np.float64)
         if genes.ndim != 1 or genes.size == 0:
             raise DimensionError("genes must be a non-empty 1-D vector")
-        if np.any(~np.isfinite(genes)) or np.any(genes < 0.0) or np.any(genes > 1.0):
-            raise ValidationError("genes must lie in [0, 1]")
+        _check_genes(genes)
         self.genes = _frozen(genes)
 
 
@@ -118,8 +142,12 @@ class GenerationStats(NamedTuple):
 class GASnapshot:
     """Per-generation observation passed to ``run_ga``'s callback.
 
-    Chromosome objects are the live ones; copy what you need inside the
-    callback, since fitness fields are overwritten next generation.
+    The chromosomes are fresh copies built for this callback from the
+    search's gene arrays, so nothing an observer does to them reaches the
+    search. ``population`` carries this generation's fitness values.
+    Parents that were not mutated are the same objects as their
+    ``population`` entries; mutated parents and children have no fitness.
+    ``next_population`` is ``parents`` followed by the children.
     """
 
     generation: int
@@ -141,15 +169,19 @@ class GAResult:
         object.__setattr__(self, "weights", _frozen(np.array(self.weights, dtype=np.float64)))
 
 
-def init_population(
-    n_classifiers: int, config: GAConfig, rng: np.random.Generator
-) -> list[Chromosome]:
-    """Uniform random genes, except chromosome 0 is the all-0.5 baseline."""
+def _initial_genes(n_classifiers: int, config: GAConfig, rng: np.random.Generator) -> np.ndarray:
     if n_classifiers < 1:
         raise ValidationError("need at least one classifier")
     genes = rng.random((config.population_size, n_classifiers))
     genes[0, :] = 0.5
-    return [Chromosome(row) for row in genes]
+    return genes
+
+
+def init_population(
+    n_classifiers: int, config: GAConfig, rng: np.random.Generator
+) -> list[Chromosome]:
+    """Uniform random genes, except chromosome 0 is the all-0.5 baseline."""
+    return [Chromosome(row) for row in _initial_genes(n_classifiers, config, rng)]
 
 
 def fitness(
@@ -188,6 +220,25 @@ def draw_fitness_sample(
     return np.sort(rng.choice(num_samples, size=k, replace=False))
 
 
+def _parent_rows(
+    fitness_values: np.ndarray, config: GAConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Row indices of the parents: elites best first, then the extras."""
+    n_rows = fitness_values.shape[0]
+    n_elite = math.floor(config.elite_fraction * n_rows)
+    if n_elite < 1:
+        raise ConfigError("elite_fraction keeps no chromosomes for this population size")
+    elite = np.argsort(fitness_values, kind="stable")[:n_elite]
+    rest = np.ones(n_rows, dtype=bool)
+    rest[elite] = False
+    rest_rows = np.flatnonzero(rest)
+    n_extra = math.floor(config.extra_parent_fraction * rest_rows.size)
+    if not n_extra:
+        return elite
+    extras = rest_rows[rng.choice(rest_rows.size, size=n_extra, replace=False)]
+    return np.concatenate((elite, extras))
+
+
 def select_parents(
     population: Sequence[Chromosome], config: GAConfig, rng: np.random.Generator
 ) -> list[Chromosome]:
@@ -202,15 +253,23 @@ def select_parents(
         raise ConfigError("cannot select parents from fewer than 2 chromosomes")
     if any(ch.fitness is None for ch in pop):
         raise ValidationError("every chromosome needs a fitness before selection")
-    n_elite = math.floor(config.elite_fraction * len(pop))
-    if n_elite < 1:
-        raise ConfigError("elite_fraction keeps no chromosomes for this population size")
-    order = sorted(range(len(pop)), key=lambda i: (pop[i].fitness, i))
-    elite_idx = order[:n_elite]
-    rest = [i for i in range(len(pop)) if i not in set(elite_idx)]
-    n_extra = math.floor(config.extra_parent_fraction * len(rest))
-    extras = rng.choice(len(rest), size=n_extra, replace=False) if n_extra else []
-    return [pop[i] for i in elite_idx] + [pop[rest[j]] for j in extras]
+    rows = _parent_rows(np.array([ch.fitness for ch in pop], dtype=np.float64), config, rng)
+    return [pop[i] for i in rows.tolist()]
+
+
+def _mutate_rows(rows: Sequence[np.ndarray], rate: float, rng: np.random.Generator) -> list[bool]:
+    """Redraw one gene of each row, in place, with probability ``rate``.
+
+    Returns which rows were mutated.
+    """
+    mutated = []
+    for row in rows:
+        hit = rng.random() < rate
+        if hit:
+            value = rng.random()
+            row[int(rng.integers(row.shape[0]))] = value
+        mutated.append(hit)
+    return mutated
 
 
 def mutate_parents(
@@ -223,15 +282,21 @@ def mutate_parents(
     """
     if not 0.0 <= rate <= 1.0:
         raise ConfigError(f"mutation rate must be in [0, 1], got {rate!r}")
-    out: list[Chromosome] = []
-    for ch in parents:
-        if rng.random() < rate:
-            genes = ch.genes.copy()
-            genes[int(rng.integers(genes.shape[0]))] = rng.random()
-            out.append(Chromosome(genes))
-        else:
-            out.append(ch)
-    return out
+    parents = list(parents)
+    rows = [ch.genes.copy() for ch in parents]
+    mutated = _mutate_rows(rows, rate, rng)
+    return [Chromosome(row) if hit else ch for ch, row, hit in zip(parents, rows, mutated)]
+
+
+def _breed(genes: np.ndarray, n_parents: int, rng: np.random.Generator) -> None:
+    """Fill rows ``n_parents:`` of ``genes`` with crossovers of the rows before."""
+    if n_parents < 2:
+        raise BreedingError("crossover needs at least 2 parents")
+    n_genes = genes.shape[1]
+    for k in range(n_parents, genes.shape[0]):
+        a, b = rng.choice(n_parents, size=2, replace=False)
+        take_a = rng.random(n_genes) < 0.5
+        genes[k] = np.where(take_a, genes[a], genes[b])
 
 
 def crossover_fill(
@@ -249,21 +314,34 @@ def crossover_fill(
         raise ValidationError(
             f"target_size {target_size} is smaller than the parent count {len(parents)}"
         )
-    n_genes = parents[0].genes.shape[0]
-    children: list[Chromosome] = []
-    for _ in range(target_size - len(parents)):
-        a, b = rng.choice(len(parents), size=2, replace=False)
-        take_a = rng.random(n_genes) < 0.5
-        children.append(Chromosome(np.where(take_a, parents[a].genes, parents[b].genes)))
-    return parents + children
+    genes = np.empty((target_size, parents[0].genes.shape[0]))
+    genes[: len(parents)] = [ch.genes for ch in parents]
+    _breed(genes, len(parents), rng)
+    return parents + [Chromosome(row) for row in genes[len(parents) :]]
 
 
-def _score_population(population: Sequence[Chromosome], true_probs: np.ndarray) -> list[float]:
-    genes = np.stack([ch.genes for ch in population])
-    values = metrics._population_nll(genes, true_probs).tolist()
-    for ch, v in zip(population, values):
-        ch.fitness = v
-    return values
+def _snapshot(
+    generation: int,
+    sample_indices: np.ndarray,
+    genes: np.ndarray,
+    values: np.ndarray,
+    parent_rows: np.ndarray,
+    mutated: list[bool],
+    next_genes: np.ndarray,
+) -> GASnapshot:
+    population = [Chromosome(row, v) for row, v in zip(genes, values.tolist())]
+    parents = [
+        Chromosome(next_genes[i]) if hit else population[r]
+        for i, (r, hit) in enumerate(zip(parent_rows.tolist(), mutated))
+    ]
+    children = [Chromosome(row) for row in next_genes[len(parents) :]]
+    return GASnapshot(
+        generation=generation,
+        sample_indices=sample_indices,
+        population=tuple(population),
+        parents=tuple(parents),
+        next_population=tuple(parents + children),
+    )
 
 
 def run_ga(
@@ -290,34 +368,29 @@ def run_ga(
     if s < 2:
         raise EmptyInputError("weight search needs at least 2 samples")
     rng = make_rng(config.seed)
-    population = init_population(n, config, rng)
+    genes = _initial_genes(n, config, rng)
+    next_genes = np.empty_like(genes)
     true_probs = metrics._true_class_probs(inputs)
     log: list[GenerationStats] = []
     for gen in range(config.generations):
         idx = draw_fitness_sample(s, config.fitness_sample_fraction, rng)
-        values = _score_population(population, true_probs[:, idx])
-        log.append(GenerationStats(gen, float(min(values)), float(np.mean(values))))
-        parents = select_parents(population, config, rng)
+        values = metrics._population_nll(genes, true_probs[:, idx])
+        log.append(GenerationStats(gen, float(values.min()), float(np.mean(values))))
+        rows = _parent_rows(values, config, rng)
+        n_parents = rows.shape[0]
+        next_genes[:n_parents] = genes[rows]
         # The generation's best survives untouched; the rest face mutation.
-        parents = [parents[0], *mutate_parents(parents[1:], config.mutation_rate, rng)]
-        next_population = crossover_fill(parents, config.population_size, rng)
+        mutated = [False, *_mutate_rows(next_genes[1:n_parents], config.mutation_rate, rng)]
+        _breed(next_genes, n_parents, rng)
+        _check_genes(next_genes)
         if on_generation is not None:
-            on_generation(
-                GASnapshot(
-                    generation=gen,
-                    sample_indices=idx,
-                    population=tuple(population),
-                    parents=tuple(parents),
-                    next_population=tuple(next_population),
-                )
-            )
-        population = next_population
-    baseline = Chromosome(np.full(n, 0.5))
-    candidates = population + [baseline]
-    full = _score_population(candidates, true_probs)
+            on_generation(_snapshot(gen, idx, genes, values, rows, mutated, next_genes))
+        genes, next_genes = next_genes, genes
+    candidates = np.vstack((genes, np.full(n, 0.5)))
+    full = metrics._population_nll(candidates, true_probs)
     best = int(np.argmin(full))  # ties to the lower index; baseline is last
     return GAResult(
-        weights=candidates[best].genes.copy(),
+        weights=candidates[best],
         full_data_nll=float(full[best]),
         generation_log=tuple(log),
     )

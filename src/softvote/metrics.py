@@ -6,8 +6,9 @@ clip keeps degenerate inputs finite; the upper clip only absorbs rounding
 dust above 1.0 so the loss can never dip below zero.
 
 The weight search scores a whole population at once with
-:func:`_population_nll`, which reads only the true-class probabilities and
-reproduces :func:`nll` of each weighted fusion bit for bit.
+:func:`_population_nll`, which reads only the true-class probabilities,
+scores each distinct gene row once (a converged population is mostly
+clones), and reproduces :func:`nll` of each weighted fusion bit for bit.
 """
 
 from __future__ import annotations
@@ -94,15 +95,28 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
     sum, clipped, logged and averaged over the whole row at once. Rows
     whose gene sum is at most :data:`DEGENERATE_GENE_SUM` score +inf.
 
-    Rows are scored a block at a time in two preallocated scratch buffers
-    of at most :data:`_SCORE_BLOCK_CELLS` cells each (one row when a row
-    alone is longer), so memory does not grow with the population.
+    Each distinct row is scored once and its score copied to the rows
+    that repeat it; rows count as the same only when their bytes are
+    equal. Distinct rows are scored a block at a time in two preallocated
+    scratch buffers of at most :data:`_SCORE_BLOCK_CELLS` cells each (one
+    row when a row alone is longer), so memory does not grow with the
+    population.
     """
-    n_rows, n_classifiers = genes.shape
     n_samples = true_probs.shape[1]
     if n_samples == 0:
         raise EmptyInputError("need at least one sample")
-    totals = genes.sum(axis=1)
+    slots: dict[bytes, int] = {}
+    first: list[int] = []
+    inverse = np.empty(genes.shape[0], dtype=np.intp)
+    for p, row in enumerate(genes):
+        key = row.tobytes()
+        if key not in slots:
+            slots[key] = len(first)
+            first.append(p)
+        inverse[p] = slots[key]
+    distinct = genes[first]
+    n_rows, n_classifiers = distinct.shape
+    totals = distinct.sum(axis=1)
     degenerate = totals <= DEGENERATE_GENE_SUM
     # A stand-in divisor keeps degenerate rows finite until they are overwritten.
     totals[degenerate] = 1.0
@@ -112,7 +126,7 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
     out = np.empty(n_rows)
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
-        g = genes[start:stop]
+        g = distinct[start:stop]
         acc, tmp = fused[: stop - start], term[: stop - start]
         np.multiply(g[:, :1], true_probs[0], out=acc)
         for i in range(1, n_classifiers):
@@ -124,7 +138,7 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
         np.negative(acc, out=acc)
         out[start:stop] = acc.mean(axis=1)
     out[degenerate] = np.inf
-    return out
+    return out[inverse]
 
 
 def accuracy(fused: np.ndarray, labels: LabeledSamples | Sequence[int] | np.ndarray) -> float:

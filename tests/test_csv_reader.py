@@ -34,6 +34,7 @@ ODD_IDS = ("plain", "comma,inside", 'quote"inside', '"quoted"', "#hash", " leadi
 # Rows are read and checked in blocks; a block of one or a few rows puts
 # every interesting row on a block boundary.
 BLOCK_SIZES = (None, 1, 3, 7)
+DEFAULT_BLOCK_CELLS = ingest._BLOCK_CELLS
 
 
 @pytest.fixture(params=BLOCK_SIZES, ids=lambda b: f"block{b}")
@@ -41,6 +42,13 @@ def block_cells(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(ingest, "_BLOCK_CELLS", request.param, raising=False)
     return request.param
+
+
+def _use_block(monkeypatch, block):
+    # Hypothesis runs every example under one function-scoped monkeypatch,
+    # which is not undone between examples, so each example sets its size,
+    # the default (None) included.
+    monkeypatch.setattr(ingest, "_BLOCK_CELLS", DEFAULT_BLOCK_CELLS if block is None else block)
 
 
 def _write(tmp_path, text, name="m.csv"):
@@ -241,8 +249,7 @@ class TestRoundTripProperty:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ps=prediction_sets(), block=st.sampled_from(BLOCK_SIZES))
     def test_valid_sets_read_back_bit_identical(self, tmp_path, monkeypatch, ps, block):
-        if block is not None:
-            monkeypatch.setattr(ingest, "_BLOCK_CELLS", block, raising=False)
+        _use_block(monkeypatch, block)
         p = tmp_path / "m.csv"
         write_predictions(ps, p)
         again = load_predictions(p, ps.num_classes)
@@ -266,13 +273,14 @@ class TestArbitraryText:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(body=csv_ish, with_header=st.booleans(), block=st.sampled_from(BLOCK_SIZES))
     def test_readers_raise_only_validation_or_os_errors(self, tmp_path, monkeypatch, body, with_header, block):
-        if block is not None:
-            monkeypatch.setattr(ingest, "_BLOCK_CELLS", block, raising=False)
+        _use_block(monkeypatch, block)
         p = tmp_path / "m.csv"
-        p.write_bytes((("sample_id,p0,p1\n" if with_header else "") + body).encode("utf-8"))
+        # Text with a lone surrogate (st.characters() can draw one) becomes
+        # invalid UTF-8 on disk, which the readers must reject like any other.
+        p.write_bytes((("sample_id,p0,p1\n" if with_header else "") + body).encode("utf-8", "surrogatepass"))
         for load in (lambda: load_predictions(p, 2), lambda: load_labels(p.with_name("l.csv"), 3)):
             p.with_name("l.csv").write_bytes(
-                (("sample_id,label\n" if with_header else "") + body).encode("utf-8")
+                (("sample_id,label\n" if with_header else "") + body).encode("utf-8", "surrogatepass")
             )
             try:
                 load()
@@ -427,8 +435,7 @@ class TestMatchesRowReference:
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), width=st.integers(2, 4), block=st.sampled_from(BLOCK_SIZES))
     def test_predictions(self, tmp_path, monkeypatch, data, width, block):
-        if block is not None:
-            monkeypatch.setattr(ingest, "_BLOCK_CELLS", block, raising=False)
+        _use_block(monkeypatch, block)
         p = tmp_path / "m.csv"
         p.write_bytes(data.draw(csv_texts(width)).encode("utf-8"))
         c = width - 1
@@ -442,8 +449,7 @@ class TestMatchesRowReference:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), block=st.sampled_from(BLOCK_SIZES))
     def test_labels(self, tmp_path, monkeypatch, data, block):
-        if block is not None:
-            monkeypatch.setattr(ingest, "_BLOCK_CELLS", block, raising=False)
+        _use_block(monkeypatch, block)
         p = tmp_path / "l.csv"
         p.write_bytes(data.draw(csv_texts(2)).replace("p0", "label").encode("utf-8"))
 

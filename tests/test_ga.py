@@ -297,6 +297,12 @@ def _two_classifier_inputs(seed):
     return generate(spec)
 
 
+def _assert_same_result(a, b):
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert repr(a.full_data_nll) == repr(b.full_data_nll)
+    assert a.generation_log == b.generation_log
+
+
 class TestRunGA:
     def test_deterministic_per_seed(self):
         inputs = _two_classifier_inputs(0)
@@ -394,6 +400,54 @@ class TestRunGA:
             assert s["bounds_ok"]
             # the generation's best survives untouched at the head
             np.testing.assert_array_equal(s["best_genes"], s["next_head"])
+
+    def test_observer_does_not_change_the_result(self):
+        inputs = _two_classifier_inputs(5)
+        config = GAConfig(seed=3, generations=8, mutation_rate=0.4)
+        quiet = run_ga(inputs, config)
+        watched = run_ga(inputs, config, on_generation=lambda snapshot: None)
+        _assert_same_result(watched, quiet)
+
+    def test_observer_writes_cannot_reach_the_search(self):
+        inputs = _two_classifier_inputs(6)
+        config = GAConfig(seed=4, generations=8, mutation_rate=0.4)
+
+        def vandalise(snapshot):
+            for group in (snapshot.population, snapshot.parents, snapshot.next_population):
+                for ch in group:
+                    ch.genes.setflags(write=True)
+                    ch.genes[:] = 0.0
+                    ch.fitness = -1.0
+            snapshot.sample_indices[:] = 0
+
+        _assert_same_result(run_ga(inputs, config, on_generation=vandalise), run_ga(inputs, config))
+
+    def test_one_generation_by_hand_through_the_public_helpers(self):
+        inputs = random_ensemble(np.random.default_rng(8), 5, 300, 6)
+        config = GAConfig(seed=13, generations=1, mutation_rate=0.5, extra_parent_fraction=0.3)
+        snapshots = []
+        run_ga(inputs, config, on_generation=snapshots.append)
+
+        rng = make_rng(config.seed)
+        population = init_population(inputs.n_classifiers, config, rng)
+        idx = draw_fitness_sample(inputs.num_samples, config.fitness_sample_fraction, rng)
+        for ch in population:
+            ch.fitness = fitness(ch, inputs, idx)
+        parents = select_parents(population, config, rng)
+        parents = [parents[0], *mutate_parents(parents[1:], config.mutation_rate, rng)]
+        next_population = crossover_fill(parents, config.population_size, rng)
+
+        def genes(chromosomes):
+            return [ch.genes.tobytes() for ch in chromosomes]
+
+        (snap,) = snapshots
+        assert snap.sample_indices.tobytes() == idx.tobytes()
+        assert genes(snap.population) == genes(population)
+        assert [ch.fitness for ch in snap.population] == [ch.fitness for ch in population]
+        assert genes(snap.parents) == genes(parents)
+        assert [ch.fitness for ch in snap.parents] == [ch.fitness for ch in parents]
+        assert None in [ch.fitness for ch in parents]  # some parent was mutated
+        assert genes(snap.next_population) == genes(next_population)
 
     def test_requires_two_samples(self):
         inputs = random_ensemble(np.random.default_rng(6), 2, 1, 3)

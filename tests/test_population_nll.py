@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softvote import EmptyInputError, fuse_weighted, metrics, nll
+from softvote import EmptyInputError, brute_force_weights, fuse_weighted, metrics, nll
+from softvote.synthgen import _simplex_grid
 
 from conftest import random_ensemble
 
@@ -103,3 +104,52 @@ class TestPopulationNll:
         idx = np.sort(rng.choice(s, size=int(rng.integers(1, s + 1)), replace=False))
         with mock.patch.object(metrics, "_SCORE_BLOCK_CELLS", block_cells):
             _assert_exact(inputs, genes, idx)
+
+
+def _repeated(rng, p, n, distinct):
+    """p rows from a small pool plus two all-zero, two -0.0 and two 0.5 rows, shuffled."""
+    pool = np.vstack([np.zeros(n), np.full(n, -0.0), np.full(n, 0.5), rng.random((distinct, n))])
+    pool[3:][rng.random((distinct, n)) < 0.3] = 0.0
+    picks = np.concatenate([rng.integers(len(pool), size=p), [0, 0, 1, 1, 2, 2]])
+    return pool[rng.permutation(picks)]
+
+
+class TestRepeatedRows:
+    """Each distinct row is scored once; every repeat must still get its own exact score."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        s=st.integers(1, 60),
+        c=st.integers(2, 6),
+        p=st.integers(0, 40),
+        distinct=st.integers(1, 5),
+        block_cells=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_repeat_equals_fuse_then_nll_and_its_row_alone(
+        self, n, s, c, p, distinct, block_cells, seed
+    ):
+        rng = np.random.default_rng(seed)
+        inputs = random_ensemble(rng, n, s, c)
+        genes = _repeated(rng, p, n, distinct)
+        idx = np.sort(rng.choice(s, size=int(rng.integers(1, s + 1)), replace=False))
+        true_probs = metrics._true_class_probs(inputs)[:, idx]
+        with mock.patch.object(metrics, "_SCORE_BLOCK_CELLS", block_cells):
+            _assert_exact(inputs, genes, idx)
+            got = metrics._population_nll(genes, true_probs)
+            for row in range(genes.shape[0]):
+                alone = metrics._population_nll(genes[row : row + 1], true_probs)[0]
+                assert got[row] == alone, f"row {row}: {got[row]!r} != {alone!r}"
+
+    @pytest.mark.parametrize("n, step", [(1, 0.01), (2, 0.01), (3, 0.02)])
+    def test_brute_force_is_the_row_by_row_argmin(self, n, step):
+        rng = np.random.default_rng(n)
+        inputs = random_ensemble(rng, n, 300, 4)
+        weights, value = brute_force_weights(inputs, grid_step=step)
+        divisions = round(1.0 / step)
+        grid = np.array(list(_simplex_grid(n, divisions)), dtype=np.float64) / divisions
+        want = _expected(inputs, grid, np.arange(300))
+        best = int(np.argmin(want))
+        assert weights.tobytes() == grid[best].tobytes()
+        assert value == want[best]
