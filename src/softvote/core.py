@@ -1,12 +1,14 @@
 """Domain types and fusion rules for probability-level classifier ensembles.
 
-An ensemble is a stack of row-stochastic prediction matrices, one per
-classifier, aligned sample for sample. Fusion collapses the stack into a
-single class distribution per sample, either unweighted (every classifier
-counts the same) or through one non-negative weight per classifier:
+An ensemble is N row-stochastic prediction matrices, one per classifier,
+aligned sample for sample. Fusion collapses them into a single class
+distribution per sample, either unweighted (every classifier counts the
+same) or through one non-negative weight per classifier:
 
     majority:  fused[s] = (1/N) * sum_i probs_i[s]
     weighted:  fused[s] = (1/sum_i w_i) * sum_i w_i * probs_i[s]
+
+Both read each classifier's own matrix; nothing stacks them.
 
 All values are immutable after construction. The per-sample sum runs
 over classifiers in index order; the weight search's population scorer
@@ -230,7 +232,7 @@ class EnsembleInputs:
 
     @cached_property
     def tensor(self) -> np.ndarray:
-        """All probabilities stacked as an (N, S, C) array."""
+        """All probabilities as one (N, S, C) array; built on first use, never by softvote."""
         return _frozen(np.stack([ps.probs for ps in self.classifiers]))
 
     def subset(self, names: Iterable[str]) -> "EnsembleInputs":
@@ -279,23 +281,12 @@ def as_weights(weights: Sequence[float] | np.ndarray, n_classifiers: int) -> np.
     return _frozen(w)
 
 
-def _fuse_tensor(tensor: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # Accumulate in classifier index order; metrics._population_nll
-    # repeats these exact operations on the true-class column only.
-    total = float(weights.sum())
-    fused = weights[0] * tensor[0]
-    for i in range(1, tensor.shape[0]):
-        fused += weights[i] * tensor[i]
-    fused /= total
-    return fused
-
-
 def fuse_majority(inputs: EnsembleInputs) -> np.ndarray:
     """Unweighted mean of all classifiers' distributions, shape (S, C).
 
     Output rows sum to 1 within 1e-9.
     """
-    return _fuse_tensor(inputs.tensor, np.ones(inputs.n_classifiers))
+    return fuse_weighted(inputs, np.ones(inputs.n_classifiers))
 
 
 def fuse_weighted(inputs: EnsembleInputs, weights: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -305,7 +296,13 @@ def fuse_weighted(inputs: EnsembleInputs, weights: Sequence[float] | np.ndarray)
     :func:`fuse_majority`. Output rows sum to 1 within 1e-9.
     """
     w = as_weights(weights, inputs.n_classifiers)
-    return _fuse_tensor(inputs.tensor, w)
+    # Accumulate in classifier index order; metrics._population_nll
+    # repeats these exact operations on the true-class column only.
+    fused = w[0] * inputs.classifiers[0].probs
+    for i in range(1, inputs.n_classifiers):
+        fused += w[i] * inputs.classifiers[i].probs
+    fused /= float(w.sum())
+    return fused
 
 
 def argmax_class(distribution: Sequence[float] | np.ndarray) -> int:

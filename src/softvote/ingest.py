@@ -13,9 +13,12 @@ Formats (all UTF-8; LF written, LF, CRLF and CR accepted on read):
                     ``per_class_accuracy``, ``classifier_names``,
                     ``sample_count``
 
-Numbers in the manifest, generator spec, weights and report JSON are read
-by one typed helper: a bool, a string, a float for an int or a non-finite
-value is an error naming the file and the key, never coerced.
+Numbers, strings and arrays in the manifest, generator spec, weights and
+report JSON are read by typed helpers: a value of the wrong JSON type (a
+bool or a string for a number, a float for an int, a non-finite value, a
+number or null for a name, a scalar for an array) is an error naming the
+file and the key, never coerced. A JSON file that is not UTF-8 text is an
+error too.
 
 Floats are written with Python's shortest round-trip repr, so
 write -> read -> write is byte-identical. Every CSV (predictions, labels
@@ -50,6 +53,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -121,10 +125,11 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < float(self.train_fraction) < 1.0:
-            raise ConfigError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction!r}"
-            )
+        v = self.train_fraction
+        if not isinstance(v, Real) or isinstance(v, bool):
+            raise ConfigError(f"train_fraction must be a real number, got {v!r}")
+        if not 0.0 < float(v) < 1.0:
+            raise ConfigError(f"train_fraction must be in (0, 1), got {v!r}")
         check_seed(self.seed)
 
 
@@ -134,6 +139,15 @@ class SplitSpec:
 # Rows are converted and checked in blocks of about this many cells, so a
 # file is never held as one Python object per cell.
 _BLOCK_CELLS = 1 << 12
+
+
+def _read_text(path: str | Path, newline: str | None = None) -> str:
+    """The whole file as text; bytes that are not UTF-8 are a FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _record_blocks(path: Path, text: str, size: int):
@@ -197,11 +211,7 @@ def _read_rows(path: Path, header: list[str]):
     caller that checks each block before taking the next one reports the
     first bad row of the file.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    text = _read_text(path, newline="")
     width = len(header)
     number = 1
     seen: dict[str, int] = {}
@@ -390,11 +400,11 @@ def write_labels(labels: LabeledSamples, path: str | Path) -> None:
 
 
 def _load_json(path: str | Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _dump_json(obj, path: str | Path) -> None:
@@ -434,10 +444,29 @@ def _number(value, key: str, kind: type, path: str | Path) -> int | float:
     return kind(value)
 
 
+def _array(value, key: str, path: str | Path) -> list:
+    """JSON ``value`` of ``key`` as a list; any other type is a FormatError."""
+    if not isinstance(value, list):
+        raise FormatError(f"{path}: {key} must be an array, got {value!r}")
+    return value
+
+
+def _string(value, key: str, path: str | Path) -> str:
+    """JSON ``value`` of ``key`` as a str; any other type is a FormatError."""
+    if not isinstance(value, str):
+        raise FormatError(f"{path}: {key} must be a string, got {value!r}")
+    return value
+
+
+def _strings(values, key: str, path: str | Path) -> tuple[str, ...]:
+    """A JSON array of strings, each read by ``_string``."""
+    values = _array(values, key, path)
+    return tuple(_string(v, f"{key}[{i}]", path) for i, v in enumerate(values))
+
+
 def _reals(values, key: str, path: str | Path) -> list[float]:
     """A JSON array of finite numbers, each read by ``_number``."""
-    if not isinstance(values, list):
-        raise FormatError(f"{path}: {key} must be an array, got {values!r}")
+    values = _array(values, key, path)
     return [_number(v, f"{key}[{i}]", float, path) for i, v in enumerate(values)]
 
 
@@ -445,14 +474,20 @@ def read_manifest(path: str | Path) -> Manifest:
     data = _load_json(path)
     _require_keys(data, ["num_classes", "class_names", "classifiers", "labels"], path, "manifest")
     entries = []
-    for item in data["classifiers"]:
+    for i, item in enumerate(_array(data["classifiers"], "classifiers", path)):
         _require_keys(item, ["name", "path"], path, "manifest classifier")
-        entries.append(ManifestEntry(name=str(item["name"]), path=str(item["path"])))
+        where = f"classifiers[{i}]."
+        entries.append(
+            ManifestEntry(
+                name=_string(item["name"], where + "name", path),
+                path=_string(item["path"], where + "path", path),
+            )
+        )
     return Manifest(
         num_classes=_number(data["num_classes"], "num_classes", int, path),
-        class_names=tuple(str(n) for n in data["class_names"]),
+        class_names=_strings(data["class_names"], "class_names", path),
         classifiers=tuple(entries),
-        labels_path=str(data["labels"]),
+        labels_path=_string(data["labels"], "labels", path),
     )
 
 
@@ -520,9 +555,7 @@ REPORT_KEYS = (
 def read_report(path: str | Path) -> EvaluationReport:
     data = _load_json(path)
     _require_keys(data, REPORT_KEYS, path, "report")
-    confusion = data["confusion"]
-    if not isinstance(confusion, list):
-        raise FormatError(f"{path}: confusion must be an array, got {confusion!r}")
+    confusion = _array(data["confusion"], "confusion", path)
     rows = [_reals(row, f"confusion[{i}]", path) for i, row in enumerate(confusion)]
     if len(set(map(len, rows))) > 1:
         raise FormatError(f"{path}: confusion rows must all have the same length")
@@ -531,7 +564,7 @@ def read_report(path: str | Path) -> EvaluationReport:
         accuracy_percent=_number(data["accuracy_percent"], "accuracy_percent", float, path),
         confusion=np.array(rows, dtype=np.float64),
         per_class_accuracy=np.array(_reals(data["per_class_accuracy"], "per_class_accuracy", path)),
-        classifier_names=tuple(str(n) for n in data["classifier_names"]),
+        classifier_names=_strings(data["classifier_names"], "classifier_names", path),
         sample_count=_number(data["sample_count"], "sample_count", int, path),
     )
 
@@ -646,12 +679,12 @@ def read_generator_spec(path: str | Path) -> GeneratorSpec:
     data = _load_json(path)
     _require_keys(data, ["num_classes", "num_samples", "seed", "classifiers"], path, "generator spec")
     profiles = []
-    for i, item in enumerate(data["classifiers"]):
+    for i, item in enumerate(_array(data["classifiers"], "classifiers", path)):
         _require_keys(item, ["name", "accuracy", "sharpness"], path, "classifier profile")
         where = f"classifiers[{i}]."
         profiles.append(
             ClassifierProfile(
-                name=str(item["name"]),
+                name=_string(item["name"], where + "name", path),
                 accuracy=_number(item["accuracy"], where + "accuracy", float, path),
                 sharpness=_number(item["sharpness"], where + "sharpness", float, path),
             )

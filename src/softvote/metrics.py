@@ -90,7 +90,7 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
 
     ``genes`` is (P, N) and ``true_probs`` is (N, S), holding each
     classifier's probability of each sample's true class. Row p equals
-    ``nll(_fuse_tensor(tensor, genes[p]), labels)`` bit for bit: the same
+    ``nll(fuse_weighted(inputs, genes[p]), labels)`` bit for bit: the same
     products, summed in classifier index order, divided by the row's gene
     sum, clipped, logged and averaged over the whole row at once. Rows
     whose gene sum is at most :data:`DEGENERATE_GENE_SUM` score +inf.

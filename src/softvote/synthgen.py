@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from numbers import Real
 
 import numpy as np
 
@@ -36,8 +37,14 @@ class ClassifierProfile:
     sharpness: float
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("classifier profile needs a name")
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError(
+                f"classifier profile name must be a non-empty string, got {self.name!r}"
+            )
+        for name in ("accuracy", "sharpness"):
+            v = getattr(self, name)
+            if not isinstance(v, Real) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be a real number, got {v!r}")
         if not 0.0 < float(self.accuracy) <= 1.0:
             raise ConfigError(f"accuracy must be in (0, 1], got {self.accuracy!r}")
         if not float(self.sharpness) >= 0.0:
@@ -53,12 +60,19 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "profiles", tuple(self.profiles))
+        for name in ("num_classes", "num_samples"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
         if not self.profiles:
             raise ConfigError("need at least one classifier profile")
+        bad = next((p for p in self.profiles if not isinstance(p, ClassifierProfile)), None)
+        if bad is not None:
+            raise ConfigError(f"profiles must be ClassifierProfile values, got {bad!r}")
         names = [p.name for p in self.profiles]
         if len(set(names)) != len(names):
             raise ConfigError("classifier profile names must be unique")

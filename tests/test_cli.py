@@ -466,8 +466,42 @@ class TestMalformedInputsExitOne:
     @pytest.mark.parametrize(
         "change, message",
         [
+            ({"classifiers": 5}, "classifiers must be an array, got 5"),
+            ({"class_names": 5}, "class_names must be an array, got 5"),
+            ({"class_names": [1, None] + [f"c{i}" for i in range(8)]}, "class_names[0] must be a string, got 1"),
+            ({"labels": 5}, "labels must be a string, got 5"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "fuse", "search-weights"])
+    def test_bad_manifest_structure(self, bundle, tmp_path, runner, change, message, command):
+        manifest = json.loads(bundle.read_text(encoding="utf-8"))
+        manifest.update(change)
+        bundle.write_text(json.dumps(manifest), encoding="utf-8")
+        out = ["--out", str(tmp_path / "w.json")] if command == "search-weights" else []
+        result = runner.invoke(cli, [command, "--manifest", str(bundle)] + out)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {bundle}: {message}\n"
+
+    def test_null_classifier_name_in_manifest(self, bundle, runner):
+        manifest = json.loads(bundle.read_text(encoding="utf-8"))
+        manifest["classifiers"][1]["name"] = None
+        bundle.write_text(json.dumps(manifest), encoding="utf-8")
+        result = runner.invoke(cli, ["evaluate", "--manifest", str(bundle)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {bundle}: classifiers[1].name must be a string, got None\n"
+
+    def test_manifest_that_is_not_utf8(self, bundle, runner):
+        bundle.write_bytes(bundle.read_bytes().replace(b'"labels.csv"', b'"labels\xff.csv"'))
+        result = runner.invoke(cli, ["evaluate", "--manifest", str(bundle)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: {bundle}: not UTF-8 text (invalid start byte at byte ")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
             ({"seed": 1.9}, "seed must be an integer, got 1.9"),
             ({"accuracy": "abc"}, "classifiers[0].accuracy must be a finite number, got 'abc'"),
+            ({"classifiers": 5}, "classifiers must be an array, got 5"),
         ],
     )
     def test_bad_generator_spec_value(self, tmp_path, runner, change, message):
@@ -490,6 +524,7 @@ class TestMalformedInputsExitOne:
             ({"nll": "abc"}, "nll must be a finite number, got 'abc'"),
             ({"sample_count": 2.7}, "sample_count must be an integer, got 2.7"),
             ({"sample_count": True}, "sample_count must be an integer, got True"),
+            ({"classifier_names": 5}, "classifier_names must be an array, got 5"),
         ],
     )
     def test_bad_report_value(self, bundle, tmp_path, runner, change, message):

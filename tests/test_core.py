@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softvote import (
     AlignmentError,
+    Chromosome,
     DegenerateWeightsError,
     DimensionError,
     EnsembleInputs,
+    GAConfig,
     LabelRangeError,
     LabeledSamples,
     PredictionSet,
@@ -15,8 +17,12 @@ from softvote import (
     argmax_class,
     argmax_classes,
     as_weights,
+    brute_force_weights,
+    evaluate,
+    fitness,
     fuse_majority,
     fuse_weighted,
+    run_ga,
 )
 
 from conftest import build_ensemble, random_ensemble
@@ -235,6 +241,81 @@ class TestFusionProperties:
         for fused in (fuse_majority(inputs), fuse_weighted(inputs, weights)):
             assert np.all(fused >= tensor.min(axis=0) - 1e-12)
             assert np.all(fused <= tensor.max(axis=0) + 1e-12)
+
+
+def _stacked_fusion(matrices, weights):
+    """Weighted fusion over one stacked (N, S, C) copy, summed in index order."""
+    tensor = np.stack(matrices)
+    fused = weights[0] * tensor[0]
+    for i in range(1, tensor.shape[0]):
+        fused += weights[i] * tensor[i]
+    fused /= float(weights.sum())
+    return fused
+
+
+@st.composite
+def ensembles_with_sparse_weights(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.sampled_from((1, 2, 8, 9, 17)))
+    s = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    inputs = random_ensemble(rng, n, s, c, alpha=draw(st.floats(0.3, 5.0)))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_subnormal=False))
+    weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    # At least one weight must be positive for the fusion to be defined.
+    weights[draw(st.integers(0, n - 1))] = draw(st.floats(0.01, 10.0))
+    return inputs, weights
+
+
+class TestFusionMatchesStackedReference:
+    @settings(max_examples=150, deadline=None)
+    @given(ensembles_with_sparse_weights())
+    @example((build_ensemble([np.ones((3, 1))] * 9, [0, 0, 0]), np.array([0.0] * 8 + [2.0])))
+    def test_both_fusions_equal_stacked_sum_bit_for_bit(self, case):
+        inputs, weights = case
+        matrices = [ps.probs for ps in inputs.classifiers]
+        n = inputs.n_classifiers
+        weighted = fuse_weighted(inputs, weights)
+        majority = fuse_majority(inputs)
+        assert weighted.tobytes() == _stacked_fusion(matrices, weights).tobytes()
+        assert majority.tobytes() == _stacked_fusion(matrices, np.ones(n)).tobytes()
+        assert "tensor" not in vars(inputs)
+
+    def test_power_of_two_constant_weights_match_majority_bit_for_bit(self):
+        # Scaling every weight by a power of two scales each product and the
+        # total exactly, so the fused bytes cannot move.
+        for n in (1, 2, 8, 9, 17):
+            inputs = random_ensemble(np.random.default_rng(n), n, 30, 4)
+            expected = fuse_majority(inputs).tobytes()
+            assert fuse_weighted(inputs, np.full(n, 4.0)).tobytes() == expected
+
+
+class TestStackedTensorIsNeverBuilt:
+    def _inputs(self):
+        return random_ensemble(np.random.default_rng(12), 3, 40, 4)
+
+    def test_fusion_and_evaluation(self):
+        inputs = self._inputs()
+        fuse_majority(inputs)
+        fuse_weighted(inputs, [0.2, 0.3, 0.5])
+        evaluate(inputs)
+        evaluate(inputs, [0.2, 0.3, 0.5])
+        assert "tensor" not in vars(inputs)
+
+    def test_search_fitness_and_oracle(self):
+        inputs = self._inputs()
+        run_ga(inputs, GAConfig(generations=2, seed=3))
+        fitness(Chromosome([0.5, 0.2, 0.9]), inputs, np.arange(10))
+        brute_force_weights(inputs, grid_step=0.25)
+        assert "tensor" not in vars(inputs)
+
+    def test_tensor_is_built_on_first_access_and_cached(self):
+        inputs = self._inputs()
+        tensor = inputs.tensor
+        assert vars(inputs)["tensor"] is tensor
+        assert tensor.shape == (3, 40, 4)
+        assert not tensor.flags.writeable
 
 
 def test_as_weights_returns_frozen_copy():

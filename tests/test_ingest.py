@@ -276,6 +276,16 @@ class TestSplitSamples:
         with pytest.raises(ConfigError):
             SplitSpec(train_fraction=0.0)
 
+    @pytest.mark.parametrize("value", ["0.5", "abc", True, None, 1j, [0.5]])
+    def test_fraction_must_be_real(self, value):
+        with pytest.raises(ConfigError, match="train_fraction must be a real number"):
+            SplitSpec(train_fraction=value)
+
+    def test_fraction_accepts_numpy_and_integral_reals(self):
+        assert SplitSpec(train_fraction=np.float64(0.5)).train_fraction == 0.5
+        with pytest.raises(ConfigError, match=r"must be in \(0, 1\)"):
+            SplitSpec(train_fraction=1)
+
 
 class TestGAConfigFile:
     def test_empty_object_gives_defaults(self, tmp_path):
@@ -442,6 +452,45 @@ class TestTypedJsonFields:
         p.write_text(json.dumps(spec), encoding="utf-8")
         return p
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"classifiers": 5}, "classifiers must be an array, got 5"),
+            ({"class_names": 5}, "class_names must be an array, got 5"),
+            ({"class_names": [1, None]}, r"class_names\[0\] must be a string, got 1"),
+            ({"class_names": ["a", None]}, r"class_names\[1\] must be a string, got None"),
+            ({"classifiers": [{"name": None, "path": "m.csv"}]}, r"classifiers\[0\]\.name must be a string, got None"),
+            ({"classifiers": [{"name": "m", "path": 3}]}, r"classifiers\[0\]\.path must be a string, got 3"),
+            ({"labels": 5}, "labels must be a string, got 5"),
+        ],
+    )
+    def test_manifest_structure_is_typed(self, tmp_path, changes, message):
+        p = self._manifest(tmp_path, 2)
+        data = json.loads(p.read_text(encoding="utf-8"))
+        data.update(changes)
+        p.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(FormatError, match=r"manifest\.json: " + message):
+            read_manifest(p)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"classifiers": 5}, "classifiers must be an array, got 5"),
+            ({"classifiers": [{"name": None, "accuracy": 0.9, "sharpness": 2.0}]},
+             r"classifiers\[0\]\.name must be a string, got None"),
+        ],
+    )
+    def test_generator_structure_is_typed(self, tmp_path, overrides, message):
+        with pytest.raises(FormatError, match=r"gen\.json: " + message):
+            read_generator_spec(self._spec(tmp_path, **overrides))
+
+    @pytest.mark.parametrize("reader", [read_manifest, read_generator_spec, read_report, read_weights])
+    def test_json_that_is_not_utf8_is_format_error(self, tmp_path, reader):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"labels": "l\xff.csv"}')
+        with pytest.raises(FormatError, match=r"bad\.json: not UTF-8 text \(invalid start byte at byte 13\)"):
+            reader(p)
+
     def test_manifest_string_num_classes(self, tmp_path):
         with pytest.raises(FormatError, match=r"manifest\.json: num_classes must be an integer, got 'x'"):
             read_manifest(self._manifest(tmp_path, "x"))
@@ -508,6 +557,8 @@ class TestTypedJsonFields:
             ({"confusion": [[100.0, 0.0], [100.0]]}, "confusion rows must all have the same length"),
             ({"confusion": "abc"}, "confusion must be an array, got 'abc'"),
             ({"per_class_accuracy": [100.0, False]}, r"per_class_accuracy\[1\] must be a finite number"),
+            ({"classifier_names": 5}, "classifier_names must be an array, got 5"),
+            ({"classifier_names": ["a", 7]}, r"classifier_names\[1\] must be a string, got 7"),
         ],
     )
     def test_report_fields_are_typed(self, tmp_path, changes, message):

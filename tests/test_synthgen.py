@@ -43,6 +43,44 @@ class TestGeneratorSpec:
             _spec([ClassifierProfile("a", 0.9, 1.0), ClassifierProfile("a", 0.8, 1.0)])
 
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("a", "0.9", 2.0), "accuracy must be a real number, got '0.9'"),
+            (("a", 0.9, "2"), "sharpness must be a real number, got '2'"),
+            (("a", True, 2.0), "accuracy must be a real number, got True"),
+            (("a", 0.9, None), "sharpness must be a real number, got None"),
+            (("a", 0.9, 1j), r"sharpness must be a real number, got 1j"),
+            ((None, 0.9, 2.0), "profile name must be a non-empty string, got None"),
+            ((7, 0.9, 2.0), "profile name must be a non-empty string, got 7"),
+            (("", 0.9, 2.0), "profile name must be a non-empty string, got ''"),
+        ],
+    )
+    def test_profile_rejects_wrong_types(self, args, message):
+        with pytest.raises(ConfigError, match=message):
+            ClassifierProfile(*args)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"num_classes": 3.5}, "num_classes must be an integer, got 3.5"),
+            ({"num_classes": 3.0}, "num_classes must be an integer, got 3.0"),
+            ({"num_samples": "10"}, "num_samples must be an integer, got '10'"),
+            ({"num_samples": True}, "num_samples must be an integer, got True"),
+            ({"profiles": ({"name": "a"},)}, "profiles must be ClassifierProfile values"),
+        ],
+    )
+    def test_spec_rejects_wrong_types(self, changes, message):
+        args = {"num_classes": 3, "num_samples": 10, "profiles": (ClassifierProfile("a", 0.9, 1.0),)}
+        args.update(changes)
+        with pytest.raises(ConfigError, match=message):
+            GeneratorSpec(**args)
+
+    def test_profile_accepts_numpy_and_integral_reals(self):
+        profile = ClassifierProfile("a", np.float64(0.9), 2)
+        assert generate(_spec([profile], num_samples=5)).num_samples == 5
+
+
 class TestGenerate:
     def test_deterministic_per_seed(self):
         spec = _spec([ClassifierProfile("a", 0.8, 2.0), ClassifierProfile("b", 0.6, 1.0)])
