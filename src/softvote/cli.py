@@ -63,11 +63,9 @@ def _load_weights_for(manifest: ingest.Manifest, weights_path: str, subset: list
         )
     if subset is None:
         return weights
-    # Re-bind weights by classifier name so a subset cannot misalign them.
+    # Re-bind weights by classifier name so a subset cannot misalign them;
+    # inputs.subset has already rejected unknown names.
     index = {entry.name: i for i, entry in enumerate(manifest.classifiers)}
-    unknown = next((n for n in subset if n not in index), None)
-    if unknown is not None:
-        raise ValidationError(f"unknown classifier '{unknown}'")
     return weights[[index[n] for n in subset]]
 
 
@@ -113,8 +111,8 @@ def fuse_cmd(manifest_path: str, weights_path: str | None, subset: str | None, o
 @_handled
 def search_weights_cmd(manifest_path: str, config_path: str | None, seed: int | None, out: str) -> None:
     """Learn per-classifier fusion weights with the genetic search."""
-    inputs = ingest.load_manifest(manifest_path)
     config = ingest.read_ga_config(config_path) if config_path else ga.GAConfig()
+    inputs = ingest.load_manifest(manifest_path)
     if seed is not None:
         config = replace(config, seed=seed)
     result = ga.run_ga(inputs, config)

@@ -220,19 +220,24 @@ def draw_fitness_sample(
     return np.sort(rng.choice(num_samples, size=k, replace=False))
 
 
+def _parent_counts(config: GAConfig, n_rows: int) -> tuple[int, int]:
+    """How many elites and extra parents selection keeps from ``n_rows`` chromosomes."""
+    n_elite = math.floor(config.elite_fraction * n_rows)
+    return n_elite, math.floor(config.extra_parent_fraction * (n_rows - n_elite))
+
+
 def _parent_rows(
     fitness_values: np.ndarray, config: GAConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Row indices of the parents: elites best first, then the extras."""
     n_rows = fitness_values.shape[0]
-    n_elite = math.floor(config.elite_fraction * n_rows)
+    n_elite, n_extra = _parent_counts(config, n_rows)
     if n_elite < 1:
         raise ConfigError("elite_fraction keeps no chromosomes for this population size")
     elite = np.argsort(fitness_values, kind="stable")[:n_elite]
     rest = np.ones(n_rows, dtype=bool)
     rest[elite] = False
     rest_rows = np.flatnonzero(rest)
-    n_extra = math.floor(config.extra_parent_fraction * rest_rows.size)
     if not n_extra:
         return elite
     extras = rest_rows[rng.choice(rest_rows.size, size=n_extra, replace=False)]

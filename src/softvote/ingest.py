@@ -29,18 +29,19 @@ are the bytes of ``csv.writer(lineterminator="\\n")``. Every output file
 is written to a new temp file beside the target and then moved onto it,
 so a failed write leaves the old file as it was.
 
-Both CSV readers share one reader with the csv module's default dialect:
-a cell may be quoted (so an id may hold commas, quotes or line breaks),
-LF, CRLF and CR all end a row, and blank rows are skipped. Row numbers
-count records from the header's 1, blank ones included. Each block of
-rows is converted by one numpy call that parses every cell as ``float()``
-or ``int()`` would, and checked with array operations. An error names the
-file and the first bad row, checked row by row in file order: wrong cell
-count (an extra trailing cell included), repeated sample id, a cell that
-does not parse, then for predictions an entry outside [0, 1] (which
-catches infinities), a NaN entry ("non-finite probability") and a sum
-that misses 1 (decided by ``math.fsum``, as in ``PredictionSet``); for
-labels a value outside [0, C).
+Both CSV readers share one reader, ``_read_table``, with the csv module's
+default dialect: a cell may be quoted (so an id may hold commas, quotes
+or line breaks), LF, CRLF and CR all end a row, and blank rows are
+skipped. Row numbers count records from the header's 1, blank ones
+included. A block of rows that passes the bulk checks (set and dict
+operations, one numpy call that parses every cell as ``float()`` or
+``int()`` would, array checks) is kept whole; one that fails is walked
+row by row, and the error names the file and its first bad row. A row is
+checked for the wrong cell count (an extra trailing cell included), then
+a repeated sample id, a cell that does not parse, and for predictions an
+entry outside [0, 1] (which catches infinities), a NaN entry ("non-finite
+probability") and a sum that misses 1 (decided by ``math.fsum``, as in
+``PredictionSet``); for labels a value outside [0, C).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import re
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from .errors import (
     SplitError,
     ValidationError,
 )
-from .ga import GAConfig
+from .ga import GAConfig, _parent_counts
 from .metrics import EvaluationReport
 from .rng import check_seed, make_rng
 from .synthgen import ClassifierProfile, GeneratorSpec
@@ -189,32 +190,28 @@ def _record_blocks(path: Path, text: str, size: int):
         yield block
 
 
-def _first_malformed(records, numbers, width: int, seen: dict[str, int]) -> tuple[int, str]:
-    """Index of the first record with the wrong cell count or a repeated id, and why."""
-    for i, (number, record) in enumerate(zip(numbers, records)):
-        if len(record) != width:
-            return i, f"expected {width} cells, got {len(record)}"
-        sid = record[0]
-        if sid in seen:
-            return i, f"duplicate sample_id '{sid}' (first at row {seen[sid]})"
-        seen[sid] = number
-    raise AssertionError("no malformed record")
+def _read_table(
+    path: Path,
+    header: list[str],
+    convert: Callable[[list[list[str]]], np.ndarray | None],
+    check_row: Callable[[int, list[str]], None],
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sample ids and the converted value cells of a headed CSV.
 
-
-def _read_rows(path: Path, header: list[str]):
-    """Yield the rows of a headed CSV as blocks of (row numbers, sample ids, records).
-
-    Checks the header, skips blank rows and checks each row's cell count
-    and that its sample id is new. Row numbers count records from the
-    header's 1, blank ones included. The first malformed row raises
-    FormatError only after every row before it has been yielded, so a
-    caller that checks each block before taking the next one reports the
-    first bad row of the file.
+    A block of rows is kept whole when every row has ``len(header)``
+    cells, no id repeats within it or an earlier block, and
+    ``convert(records)`` turns the value cells after each id into an
+    array, not None. Otherwise the block is walked row by row in the
+    order of the module docstring, ``check_row(number, record)`` last,
+    and its first bad row raises. With no rows the values are
+    ``convert([])``.
     """
     text = _read_text(path, newline="")
     width = len(header)
     number = 1
     seen: dict[str, int] = {}
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []
     for records in _record_blocks(path, text, max(1, _BLOCK_CELLS // width)):
         if number == 1:
             if not records or records[0] != header:
@@ -227,20 +224,32 @@ def _read_rows(path: Path, header: list[str]):
             kept = [i for i, record in enumerate(records) if record]
             numbers = [numbers[i] for i in kept]
             records = [records[i] for i in kept]
-        ids = [record[0] for record in records]
-        fresh = dict(zip(ids, numbers))
+        block_ids = [record[0] for record in records]
+        fresh = dict(zip(block_ids, numbers))
+        block = None
         if (
-            not set(map(len, records)) <= {width}
-            or len(fresh) < len(ids)
-            or not seen.keys().isdisjoint(fresh)
+            set(map(len, records)) <= {width}
+            and len(fresh) == len(block_ids)
+            and seen.keys().isdisjoint(fresh)
         ):
-            i, reason = _first_malformed(records, numbers, width, seen)
-            yield numbers[:i], ids[:i], records[:i]
-            raise FormatError(f"{path}: row {numbers[i]}: {reason}")
+            block = convert(records)
+        if block is None:
+            for n, record in zip(numbers, records):
+                if len(record) != width:
+                    raise FormatError(f"{path}: row {n}: expected {width} cells, got {len(record)}")
+                sid = record[0]
+                if sid in seen:
+                    first = seen[sid]
+                    raise FormatError(f"{path}: row {n}: duplicate sample_id '{sid}' (first at row {first})")
+                seen[sid] = n
+                check_row(n, record)
+            raise AssertionError("a block failed its bulk checks but no row did")
         seen.update(fresh)
-        yield numbers, ids, records
+        ids.extend(block_ids)
+        blocks.append(block)
     if number == 1:
         raise FormatError(f"{path}: bad header, expected {','.join(header)}")
+    return tuple(ids), np.concatenate(blocks) if blocks else convert([])
 
 
 def _prob_columns(num_classes: int) -> list[str]:
@@ -310,44 +319,33 @@ def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
 def load_predictions(path: str | Path, num_classes: int, name: str | None = None) -> PredictionSet:
     """Parse one classifier's predictions CSV; errors carry row numbers."""
     path = Path(path)
     if num_classes < 1:
         raise ValidationError("num_classes must be >= 1")
-    header = _prob_columns(num_classes)
-    ids: list[str] = []
-    blocks: list[np.ndarray] = []
-    for numbers, block_ids, records in _read_rows(path, header):
-        cells = [record[1:] for record in records]
-        failure = None
+
+    def convert(records):
         try:
-            block = np.array(cells, dtype=np.float64).reshape(len(cells), num_classes)
+            # np.array parses each cell with float().
+            block = np.array([record[1:] for record in records], dtype=np.float64).reshape(-1, num_classes)
         except ValueError:
-            # np.array parses each cell with float(); name the first it rejects.
-            row, cell = next(
-                (i, c) for i, row_cells in enumerate(cells) for c in row_cells if not _is_float(c)
-            )
-            block = np.array(cells[:row], dtype=np.float64).reshape(row, num_classes)
-            failure = FormatError(f"{path}: row {numbers[row]}: non-numeric probability {cell!r}")
-        bad = _first_invalid_row(block)
+            return None
+        return block if _first_invalid_row(block) is None else None
+
+    def check_row(number, record):
+        values = []
+        for cell in record[1:]:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise FormatError(f"{path}: row {number}: non-numeric probability {cell!r}") from None
+        bad = _first_invalid_row(np.array([values]))
         if bad is not None:
-            row, reason = bad
-            raise FormatError(f"{path}: row {numbers[row]}: {reason}")
-        if failure is not None:
-            raise failure
-        ids.extend(block_ids)
-        blocks.append(block)
-    probs = np.concatenate(blocks) if blocks else np.empty((0, num_classes))
-    return PredictionSet(name if name is not None else path.stem, tuple(ids), probs)
+            raise FormatError(f"{path}: row {number}: {bad[1]}")
+
+    ids, probs = _read_table(path, _prob_columns(num_classes), convert, check_row)
+    return PredictionSet(name if name is not None else path.stem, ids, probs)
 
 
 def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
@@ -357,38 +355,29 @@ def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
 
 def load_labels(path: str | Path, num_classes: int | None = None) -> LabeledSamples:
     path = Path(path)
-    ids: list[str] = []
-    blocks: list[np.ndarray] = []
-    for numbers, block_ids, records in _read_rows(path, ["sample_id", "label"]):
-        cells = [record[1] for record in records]
+
+    def convert(records):
         try:
-            block = np.array(cells, dtype=np.int64).reshape(len(cells))
+            # np.array parses each cell with int().
+            block = np.array([record[1] for record in records], dtype=np.int64)
         except (ValueError, OverflowError):
-            block = None  # np.array parses each cell with int()
-        if (
-            block is None
-            or block.min(initial=0) < 0
-            or (num_classes is not None and block.max(initial=0) >= num_classes)
-        ):
-            _raise_first_bad_label(path, numbers, cells, num_classes)
-        ids.extend(block_ids)
-        blocks.append(block)
-    labels = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    return LabeledSamples(tuple(ids), labels)
+            return None
+        if block.min(initial=0) < 0 or (num_classes is not None and block.max(initial=0) >= num_classes):
+            return None
+        return block
 
-
-def _raise_first_bad_label(path: Path, numbers, cells, num_classes: int | None) -> None:
-    """Name the first cell of a block that is not an integer label in range."""
-    limit = num_classes if num_classes is not None else 2**63  # what int64 holds
-    for number, cell in zip(numbers, cells):
+    def check_row(number, record):
         try:
-            label = int(cell)
+            label = int(record[1])
         except ValueError:
-            raise FormatError(f"{path}: row {number}: non-integer label {cell!r}") from None
+            raise FormatError(f"{path}: row {number}: non-integer label {record[1]!r}") from None
+        limit = num_classes if num_classes is not None else 2**63  # what int64 holds
         if not 0 <= label < limit:
             bound = num_classes if num_classes is not None else "inf"
             raise LabelRangeError(f"{path}: row {number}: label {label} outside [0, {bound})")
-    raise AssertionError("no bad label")
+
+    ids, labels = _read_table(path, ["sample_id", "label"], convert, check_row)
+    return LabeledSamples(ids, labels)
 
 
 def write_labels(labels: LabeledSamples, path: str | Path) -> None:
@@ -666,9 +655,16 @@ def read_ga_config(path: str | Path) -> GAConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown GA config keys {unknown}")
     try:
-        return GAConfig(**data)
+        config = GAConfig(**data)
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: bad GA config: {exc}") from None
+    if sum(_parent_counts(config, config.population_size)) < 2:
+        raise ConfigError(
+            f"{path}: bad GA config: population_size {config.population_size} with elite_fraction "
+            f"{config.elite_fraction} and extra_parent_fraction {config.extra_parent_fraction} "
+            "selects 1 parent; crossover needs at least 2"
+        )
+    return config
 
 
 def write_ga_config(config: GAConfig, path: str | Path) -> None:
@@ -730,30 +726,33 @@ def write_ensemble(
     Returns the manifest path. With no explicit names, 10-class ensembles
     get the default posture names and anything else gets ``class_0``...
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if class_names is None:
         if inputs.num_classes == len(DEFAULT_CLASS_NAMES):
             class_names = default_class_names()
         else:
             class_names = [f"class_{i}" for i in range(inputs.num_classes)]
+    # Every file name is resolved and the manifest checked before any file
+    # is written, so a clash leaves no partial bundle behind.
+    used = {"labels.csv"}
     entries = []
-    used: set[str] = set()
     for ps in inputs.classifiers:
         filename = _safe_filename(ps.classifier_name) + ".csv"
         if filename in used:
             raise ValidationError(f"classifier file name clash: {filename}")
         used.add(filename)
-        write_predictions(ps, out / filename)
         entries.append(ManifestEntry(name=ps.classifier_name, path=filename))
-    # Labels are written in classifier row order so the bundle stands alone.
-    write_labels(LabeledSamples(inputs.sample_ids, inputs.label_array), out / "labels.csv")
     manifest = Manifest(
         num_classes=inputs.num_classes,
         class_names=tuple(class_names),
         classifiers=tuple(entries),
         labels_path="labels.csv",
     )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for ps, entry in zip(inputs.classifiers, entries):
+        write_predictions(ps, out / entry.path)
+    # Labels are written in classifier row order so the bundle stands alone.
+    write_labels(LabeledSamples(inputs.sample_ids, inputs.label_array), out / "labels.csv")
     manifest_path = out / "manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path

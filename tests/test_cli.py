@@ -106,6 +106,17 @@ class TestSimulate:
         assert result.exit_code == 0
         assert read_report(out_json).sample_count == 4000
 
+    def test_classifier_named_labels_is_a_clash(self, tmp_path, runner):
+        profiles = GEN_SPEC["classifiers"]
+        spec = dict(GEN_SPEC, classifiers=[profiles[0], dict(profiles[1], name="labels")])
+        spec_path = tmp_path / "gen.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        result = runner.invoke(cli, ["simulate", "--config", str(spec_path), "--out", str(out_dir)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: classifier file name clash: labels.csv\n"
+        assert not out_dir.exists()
+
 
 class TestSearchWeights:
     def test_writes_weights_and_logs_generations(self, bundle, tmp_path, runner):
@@ -154,6 +165,24 @@ class TestSearchWeights:
         assert result.stderr.startswith("error: ")
         assert "ga.json" in result.stderr and "elite_fraction" in result.stderr
         assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_config_keeping_one_parent_fails_before_loading(self, tmp_path, runner):
+        # 9 chromosomes keep floor(0.2 * 9) = 1 elite and floor(0.1 * 8) = 0
+        # extras: one parent cannot cross over. The manifest is never read.
+        config = tmp_path / "ga.json"
+        config.write_text(json.dumps({"population_size": 9}), encoding="utf-8")
+        out = tmp_path / "w.json"
+        result = runner.invoke(
+            cli,
+            ["search-weights", "--manifest", str(tmp_path / "missing.json"), "--config", str(config),
+             "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: {config}: bad GA config: population_size 9 with elite_fraction 0.2 and "
+            "extra_parent_fraction 0.1 selects 1 parent; crossover needs at least 2\n"
+        )
         assert not out.exists()
 
 

@@ -189,6 +189,21 @@ class TestPinnedSemantics:
         with pytest.raises(error, match=message):
             load_labels(p, 3)
 
+    def test_bad_value_inside_an_otherwise_clean_block(self, tmp_path):
+        # One block at the default size: cell counts and ids pass the bulk
+        # checks, the conversion succeeds or fails on the third row only, and
+        # the row walk names that row rather than the block's first.
+        rows = "a,0.5,0.5\nb,1,0\nc,{}\nd,0,1\n"
+        p = _write(tmp_path, "sample_id,p0,p1\n" + rows.format("0.5,0.4"))
+        with pytest.raises(FormatError, match=r"m\.csv: row 4: probabilities sum to 0\.9 "):
+            load_predictions(p, 2)
+        p = _write(tmp_path, "sample_id,p0,p1\n" + rows.format("0.5,x"))
+        with pytest.raises(FormatError, match=r"m\.csv: row 4: non-numeric probability 'x'"):
+            load_predictions(p, 2)
+        labels = _write(tmp_path, "sample_id,label\na,0\nb,1\nc,99999999999999999999\nd,2\n", "l.csv")
+        with pytest.raises(LabelRangeError, match=r"l\.csv: row 4: label 99999999999999999999 outside \[0, 3\)"):
+            load_labels(labels, 3)
+
     def test_labels_cells_parse_like_python_int(self, tmp_path, block_cells):
         p = _write(tmp_path, "sample_id,label\na, 2 \nb,+1\nc,٠\nd,0_1\n", "l.csv")
         assert load_labels(p, 3).labels.tolist() == [2, 1, 0, 1]
@@ -400,7 +415,8 @@ def _outcome(load):
 
 
 CELLS = ["0", "1", "0.5", "0.25", "0.75", "1.0", "0.0", "-0.0", "0.5000005", "0.4999", "1e-300", "nan", "inf",
-         "-inf", "1.5", "-0.5", "abc", "", " 0.5", "0.5 ", "5_0e-2", "0x1", "1e", "٠.5", "2", "-1", "3"]
+         "-inf", "1.5", "-0.5", "abc", "", " 0.5", "0.5 ", "5_0e-2", "0x1", "1e", "٠.5", "2", "-1", "3",
+         "99999999999999999999", "1e400"]
 ROW_IDS = ["a", "b", "c", "", " a", "a#", 'q"q', "x,y", "l\nm"]
 
 

@@ -235,6 +235,14 @@ class TestManifestLoading:
         with pytest.raises(FormatError, match="invalid JSON"):
             read_manifest(p)
 
+    @pytest.mark.parametrize("names, clash", [(("m0", "labels"), "labels.csv"), (("a b", "a_b"), "a_b.csv")])
+    def test_file_name_clash_writes_nothing(self, tmp_path, names, clash):
+        spec = GeneratorSpec(3, 10, tuple(ClassifierProfile(n, 0.8, 2.0) for n in names), seed=0)
+        out = tmp_path / "bundle"
+        with pytest.raises(ValidationError, match=f"classifier file name clash: {clash}"):
+            write_ensemble(generate(spec), out)
+        assert not out.exists()
+
 
 class TestDefaultClassNames:
     def test_well_known_indices(self):
@@ -300,6 +308,24 @@ class TestGAConfigFile:
         assert config.generations == 2
         assert config.seed == 7
         assert config.population_size == 50
+
+    @pytest.mark.parametrize(
+        "data, shown",
+        [
+            ({"population_size": 9}, "population_size 9 with elite_fraction 0.2 and extra_parent_fraction 0.1"),
+            (
+                {"population_size": 2, "elite_fraction": 0.5},
+                "population_size 2 with elite_fraction 0.5 and extra_parent_fraction 0.1",
+            ),
+        ],
+    )
+    def test_config_keeping_one_parent_is_rejected(self, tmp_path, data, shown):
+        GAConfig(**data)  # constructible; only the file reader refuses it
+        p = tmp_path / "ga.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            read_ga_config(p)
+        assert str(info.value) == f"{p}: bad GA config: {shown} selects 1 parent; crossover needs at least 2"
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "ga.json"
