@@ -54,31 +54,33 @@ def _parse_subset(subset: str | None) -> list[str] | None:
     return names
 
 
-def _load_weights_for(manifest: ingest.Manifest, weights_path: str, subset: list[str] | None) -> np.ndarray:
-    weights, _ = ingest.read_weights(weights_path)
-    if weights.shape[0] != len(manifest.classifiers):
-        raise DimensionError(
-            f"weights file has {weights.shape[0]} weights but the manifest lists "
-            f"{len(manifest.classifiers)} classifiers"
-        )
-    if subset is None:
-        return weights
-    # Re-bind weights by classifier name so a subset cannot misalign them;
-    # inputs.subset has already rejected unknown names.
-    index = {entry.name: i for i, entry in enumerate(manifest.classifiers)}
-    return weights[[index[n] for n in subset]]
-
-
 def _load_for_subset(
-    manifest_path: str, subset: str | None
-) -> tuple[ingest.Manifest, EnsembleInputs, list[str] | None]:
-    """The manifest, its ensemble thinned to ``--subset``, and the subset names."""
+    manifest_path: str, subset: str | None, weights_path: str | None
+) -> tuple[ingest.Manifest, EnsembleInputs, np.ndarray | None]:
+    """The manifest, its ensemble thinned to ``--subset``, and the weights for that ensemble.
+
+    ``--subset`` and the weights file are checked against the manifest
+    before any CSV is parsed. Without a weights file the weights are None.
+    """
     manifest = ingest.read_manifest(manifest_path)
-    inputs = ingest.load_ensemble(manifest, Path(manifest_path).parent)
     names = _parse_subset(subset)
+    weights = None
+    if weights_path is not None:
+        weights, _ = ingest.read_weights(weights_path)
+        if weights.shape[0] != len(manifest.classifiers):
+            raise DimensionError(
+                f"weights file has {weights.shape[0]} weights but the manifest lists "
+                f"{len(manifest.classifiers)} classifiers"
+            )
+    inputs = ingest.load_ensemble(manifest, Path(manifest_path).parent)
     if names is not None:
         inputs = inputs.subset(names)
-    return manifest, inputs, names
+        if weights is not None:
+            # Re-bind weights by classifier name so a subset cannot misalign
+            # them; inputs.subset has already rejected unknown names.
+            index = {entry.name: i for i, entry in enumerate(manifest.classifiers)}
+            weights = weights[[index[n] for n in names]]
+    return manifest, inputs, weights
 
 
 @click.group()
@@ -94,11 +96,8 @@ def cli() -> None:
 @_handled
 def fuse_cmd(manifest_path: str, weights_path: str | None, subset: str | None, out: str) -> None:
     """Write per-sample fused distributions plus a predicted-class column."""
-    manifest, inputs, names = _load_for_subset(manifest_path, subset)
-    if weights_path is None:
-        fused = fuse_majority(inputs)
-    else:
-        fused = fuse_weighted(inputs, _load_weights_for(manifest, weights_path, names))
+    _, inputs, weights = _load_for_subset(manifest_path, subset, weights_path)
+    fused = fuse_majority(inputs) if weights is None else fuse_weighted(inputs, weights)
     header = ingest._prob_columns(inputs.num_classes) + ["predicted"]
     _emit(ingest._csv_text(header, inputs.sample_ids, fused, argmax_classes(fused)), out)
 
@@ -112,9 +111,9 @@ def fuse_cmd(manifest_path: str, weights_path: str | None, subset: str | None, o
 def search_weights_cmd(manifest_path: str, config_path: str | None, seed: int | None, out: str) -> None:
     """Learn per-classifier fusion weights with the genetic search."""
     config = ingest.read_ga_config(config_path) if config_path else ga.GAConfig()
-    inputs = ingest.load_manifest(manifest_path)
     if seed is not None:
         config = replace(config, seed=seed)
+    inputs = ingest.load_manifest(manifest_path)
     result = ga.run_ga(inputs, config)
     for stats in result.generation_log:
         click.echo(
@@ -137,10 +136,7 @@ def evaluate_cmd(
     manifest_path: str, weights_path: str | None, subset: str | None, out: str, fmt: str
 ) -> None:
     """Score majority or weighted fusion: NLL, accuracy, confusion matrix."""
-    manifest, inputs, names = _load_for_subset(manifest_path, subset)
-    weights = None
-    if weights_path is not None:
-        weights = _load_weights_for(manifest, weights_path, names)
+    manifest, inputs, weights = _load_for_subset(manifest_path, subset, weights_path)
     report = metrics.evaluate(inputs, weights)
     if fmt == "json":
         _emit([ingest.report_to_json(report)], out)

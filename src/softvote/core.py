@@ -162,7 +162,10 @@ class EnsembleInputs:
 
     All prediction sets must share the class count and the exact sample id
     sequence; every sample id must carry a label. Construction fails loudly
-    on the first divergence instead of reordering or joining.
+    on the first divergence instead of reordering or joining classifiers.
+    ``labels`` holds the labels of the classifiers' samples in their row
+    order: the given object when its ids are already that sequence, else
+    a new one that drops the ids no classifier has.
     """
 
     classifiers: tuple[PredictionSet, ...]
@@ -193,17 +196,19 @@ class EnsembleInputs:
                     f"classifier '{ps.classifier_name}' has {len(ps.sample_ids)} samples, "
                     f"'{ref.classifier_name}' has {len(ref.sample_ids)}"
                 )
-        by_id = dict(zip(self.labels.sample_ids, self.labels.labels))
-        missing = next((sid for sid in ref.sample_ids if sid not in by_id), None)
-        if missing is not None:
-            raise AlignmentError(f"sample '{missing}' has no ground-truth label")
-        aligned = np.array([by_id[sid] for sid in ref.sample_ids], dtype=np.int64)
-        if aligned.size and aligned.max() >= ref.num_classes:
-            sid = ref.sample_ids[int(np.argmax(aligned >= ref.num_classes))]
+        labels = self.labels
+        if labels.sample_ids != ref.sample_ids:
+            by_id = dict(zip(labels.sample_ids, labels.labels.tolist()))
+            missing = next((sid for sid in ref.sample_ids if sid not in by_id), None)
+            if missing is not None:
+                raise AlignmentError(f"sample '{missing}' has no ground-truth label")
+            labels = LabeledSamples(ref.sample_ids, [by_id[sid] for sid in ref.sample_ids])
+            object.__setattr__(self, "labels", labels)
+        if labels.labels.size and labels.labels.max() >= ref.num_classes:
+            sid = ref.sample_ids[int(np.argmax(labels.labels >= ref.num_classes))]
             raise LabelRangeError(
                 f"label for sample '{sid}' is >= num_classes ({ref.num_classes})"
             )
-        object.__setattr__(self, "_label_array", _frozen(aligned))
 
     @property
     def n_classifiers(self) -> int:
@@ -228,7 +233,7 @@ class EnsembleInputs:
     @property
     def label_array(self) -> np.ndarray:
         """Labels aligned to the classifiers' row order, shape (S,)."""
-        return self._label_array  # type: ignore[attr-defined]
+        return self.labels.labels
 
     @cached_property
     def tensor(self) -> np.ndarray:

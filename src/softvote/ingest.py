@@ -33,15 +33,20 @@ Both CSV readers share one reader, ``_read_table``, with the csv module's
 default dialect: a cell may be quoted (so an id may hold commas, quotes
 or line breaks), LF, CRLF and CR all end a row, and blank rows are
 skipped. Row numbers count records from the header's 1, blank ones
-included. A block of rows that passes the bulk checks (set and dict
-operations, one numpy call that parses every cell as ``float()`` or
-``int()`` would, array checks) is kept whole; one that fails is walked
-row by row, and the error names the file and its first bad row. A row is
-checked for the wrong cell count (an extra trailing cell included), then
-a repeated sample id, a cell that does not parse, and for predictions an
-entry outside [0, 1] (which catches infinities), a NaN entry ("non-finite
-probability") and a sum that misses 1 (decided by ``math.fsum``, as in
-``PredictionSet``); for labels a value outside [0, C).
+included. The first pass only parses: per block of rows, a cell-count
+check and one numpy call that parses every cell as ``float()`` or
+``int()`` would, plus the [0, C) range for labels, which
+``LabeledSamples`` cannot check without C. The ids and the array then go
+to the type's public constructor, ``PredictionSet`` or
+``LabeledSamples``, which checks repeated ids and every row, once, over
+the whole file. If the parse or the constructor fails, a walk from the
+top explains it: the file is read again row by row, and the error names
+the file and its first bad row. A row is checked for the wrong cell count
+(an extra trailing cell included), then a repeated sample id, a cell
+that does not parse, and for predictions an entry outside [0, 1] (which
+catches infinities), a NaN entry ("non-finite probability") and a sum
+that misses 1 (decided by ``math.fsum``, as in ``PredictionSet``); for
+labels a value outside [0, C).
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -137,8 +142,8 @@ class SplitSpec:
 # ---------------------------------------------------------------- CSV I/O
 
 
-# Rows are converted and checked in blocks of about this many cells, so a
-# file is never held as one Python object per cell.
+# Rows are parsed in blocks of about this many cells, so a file is never
+# held as one Python object per cell.
 _BLOCK_CELLS = 1 << 12
 
 
@@ -190,66 +195,70 @@ def _record_blocks(path: Path, text: str, size: int):
         yield block
 
 
-def _read_table(
-    path: Path,
-    header: list[str],
-    convert: Callable[[list[list[str]]], np.ndarray | None],
-    check_row: Callable[[int, list[str]], None],
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sample ids and the converted value cells of a headed CSV.
+def _table_blocks(path: Path, header: list[str]) -> Iterator[tuple[int, list[list[str]]]]:
+    """The records after the header, in blocks, each with the row number of its first record.
 
-    A block of rows is kept whole when every row has ``len(header)``
-    cells, no id repeats within it or an earlier block, and
-    ``convert(records)`` turns the value cells after each id into an
-    array, not None. Otherwise the block is walked row by row in the
-    order of the module docstring, ``check_row(number, record)`` last,
-    and its first bad row raises. With no rows the values are
-    ``convert([])``.
+    Blank records (``[]``) are kept, so the numbers count them. A first
+    record other than ``header`` is a FormatError.
     """
-    text = _read_text(path, newline="")
-    width = len(header)
     number = 1
-    seen: dict[str, int] = {}
-    ids: list[str] = []
-    blocks: list[np.ndarray] = []
-    for records in _record_blocks(path, text, max(1, _BLOCK_CELLS // width)):
+    for records in _record_blocks(path, _read_text(path, newline=""), max(1, _BLOCK_CELLS // len(header))):
         if number == 1:
             if not records or records[0] != header:
                 break
-            records = records[1:]
-            number = 2
-        numbers = range(number, number + len(records))
+            records, number = records[1:], 2
+        yield number, records
         number += len(records)
-        if [] in records:
-            kept = [i for i, record in enumerate(records) if record]
-            numbers = [numbers[i] for i in kept]
-            records = [records[i] for i in kept]
-        block_ids = [record[0] for record in records]
-        fresh = dict(zip(block_ids, numbers))
-        block = None
-        if (
-            set(map(len, records)) <= {width}
-            and len(fresh) == len(block_ids)
-            and seen.keys().isdisjoint(fresh)
-        ):
-            block = convert(records)
-        if block is None:
-            for n, record in zip(numbers, records):
-                if len(record) != width:
-                    raise FormatError(f"{path}: row {n}: expected {width} cells, got {len(record)}")
-                sid = record[0]
-                if sid in seen:
-                    first = seen[sid]
-                    raise FormatError(f"{path}: row {n}: duplicate sample_id '{sid}' (first at row {first})")
-                seen[sid] = n
-                check_row(n, record)
-            raise AssertionError("a block failed its bulk checks but no row did")
-        seen.update(fresh)
-        ids.extend(block_ids)
-        blocks.append(block)
     if number == 1:
         raise FormatError(f"{path}: bad header, expected {','.join(header)}")
-    return tuple(ids), np.concatenate(blocks) if blocks else convert([])
+
+
+def _read_table(
+    path: Path,
+    header: list[str],
+    convert: Callable[[list[list[str]]], np.ndarray],
+    check_row: Callable[[int, list[str]], None],
+    build: Callable[[tuple[str, ...], np.ndarray], PredictionSet | LabeledSamples],
+) -> PredictionSet | LabeledSamples:
+    """``build(ids, values)`` on the sample ids and converted value cells of a headed CSV.
+
+    The first pass only parses: each block's non-blank rows must have
+    ``len(header)`` cells, and ``convert(records)`` turns their value cells
+    into an array or raises a ValueError. ``build``, the type's public
+    constructor, then checks every row and the ids, once, over the whole
+    file. If the parse or ``build`` fails, the file is walked again from
+    the top, row by row, in the order of the module docstring
+    (``check_row(number, record)`` last), and its first bad row raises.
+    """
+    try:
+        ids: list[str] = []
+        arrays: list[np.ndarray] = []
+        for _, records in _table_blocks(path, header):
+            records = [record for record in records if record]
+            if set(map(len, records)) - {len(header)}:
+                raise ValueError("wrong cell count")
+            arrays.append(convert(records))
+            ids.extend([record[0] for record in records])
+        values = np.concatenate(arrays) if arrays else convert([])
+        # The text and its lines went with the finished generator; drop the
+        # last block's records and the block arrays before ``build`` copies.
+        ids, arrays, records = tuple(ids), [], []
+        return build(ids, values)
+    except (ValueError, OverflowError):  # ValidationError is a ValueError
+        pass
+    seen: dict[str, int] = {}
+    for number, records in _table_blocks(path, header):
+        for n, record in enumerate(records, number):
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise FormatError(f"{path}: row {n}: expected {len(header)} cells, got {len(record)}")
+            sid = record[0]
+            if sid in seen:
+                raise FormatError(f"{path}: row {n}: duplicate sample_id '{sid}' (first at row {seen[sid]})")
+            seen[sid] = n
+            check_row(n, record)
+    raise AssertionError("the file failed to parse or to build, but no row is bad")
 
 
 def _prob_columns(num_classes: int) -> list[str]:
@@ -326,12 +335,8 @@ def load_predictions(path: str | Path, num_classes: int, name: str | None = None
         raise ValidationError("num_classes must be >= 1")
 
     def convert(records):
-        try:
-            # np.array parses each cell with float().
-            block = np.array([record[1:] for record in records], dtype=np.float64).reshape(-1, num_classes)
-        except ValueError:
-            return None
-        return block if _first_invalid_row(block) is None else None
+        # np.array parses each cell with float().
+        return np.array([record[1:] for record in records], dtype=np.float64).reshape(-1, num_classes)
 
     def check_row(number, record):
         values = []
@@ -344,8 +349,12 @@ def load_predictions(path: str | Path, num_classes: int, name: str | None = None
         if bad is not None:
             raise FormatError(f"{path}: row {number}: {bad[1]}")
 
-    ids, probs = _read_table(path, _prob_columns(num_classes), convert, check_row)
-    return PredictionSet(name if name is not None else path.stem, ids, probs)
+    def build(ids, probs):
+        # PredictionSet is looked up at call time, so a wrapper set on this
+        # module's attribute sees the call.
+        return PredictionSet(name if name is not None else path.stem, ids, probs)
+
+    return _read_table(path, _prob_columns(num_classes), convert, check_row, build)
 
 
 def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
@@ -357,14 +366,12 @@ def load_labels(path: str | Path, num_classes: int | None = None) -> LabeledSamp
     path = Path(path)
 
     def convert(records):
-        try:
-            # np.array parses each cell with int().
-            block = np.array([record[1] for record in records], dtype=np.int64)
-        except (ValueError, OverflowError):
-            return None
-        if block.min(initial=0) < 0 or (num_classes is not None and block.max(initial=0) >= num_classes):
-            return None
-        return block
+        # np.array parses each cell with int(). LabeledSamples does not know
+        # the class count, so the range is checked here.
+        labels = np.array([record[1] for record in records], dtype=np.int64)
+        if labels.min(initial=0) < 0 or (num_classes is not None and labels.max(initial=0) >= num_classes):
+            raise ValueError("label outside [0, num_classes)")
+        return labels
 
     def check_row(number, record):
         try:
@@ -376,8 +383,7 @@ def load_labels(path: str | Path, num_classes: int | None = None) -> LabeledSamp
             bound = num_classes if num_classes is not None else "inf"
             raise LabelRangeError(f"{path}: row {number}: label {label} outside [0, {bound})")
 
-    ids, labels = _read_table(path, ["sample_id", "label"], convert, check_row)
-    return LabeledSamples(ids, labels)
+    return _read_table(path, ["sample_id", "label"], convert, check_row, LabeledSamples)
 
 
 def write_labels(labels: LabeledSamples, path: str | Path) -> None:
@@ -635,15 +641,7 @@ def write_report(
 
 # ------------------------------------------------------------ config files
 
-GA_CONFIG_KEYS = (
-    "population_size",
-    "elite_fraction",
-    "extra_parent_fraction",
-    "mutation_rate",
-    "generations",
-    "fitness_sample_fraction",
-    "seed",
-)
+GA_CONFIG_KEYS = tuple(field.name for field in fields(GAConfig))
 
 
 def read_ga_config(path: str | Path) -> GAConfig:
@@ -751,8 +749,8 @@ def write_ensemble(
     out.mkdir(parents=True, exist_ok=True)
     for ps, entry in zip(inputs.classifiers, entries):
         write_predictions(ps, out / entry.path)
-    # Labels are written in classifier row order so the bundle stands alone.
-    write_labels(LabeledSamples(inputs.sample_ids, inputs.label_array), out / "labels.csv")
+    # inputs.labels is in classifier row order, so the bundle stands alone.
+    write_labels(inputs.labels, out / "labels.csv")
     manifest_path = out / "manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path

@@ -460,6 +460,53 @@ class TestExitCodes:
         assert result.exit_code == 1
 
 
+class TestSmallInputsBeforeData:
+    """Flags and small files are checked before any CSV is parsed.
+
+    Each bundle here lacks one predictions CSV, so a command that parsed
+    the CSVs first would exit 2 with an i/o error instead.
+    """
+
+    @pytest.fixture
+    def broken(self, bundle):
+        (bundle.parent / "mid.csv").unlink()
+        return bundle
+
+    @pytest.mark.parametrize("command", ["evaluate", "fuse"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"weights": "x", "full_data_nll": 0.1}, "{path}: weights must be an array, got 'x'"),
+            (
+                {"weights": [0.5, 0.5], "full_data_nll": 0.1},
+                "weights file has 2 weights but the manifest lists 3 classifiers",
+            ),
+        ],
+        ids=["type", "count"],
+    )
+    def test_weights_file(self, broken, tmp_path, runner, command, data, message):
+        weights = tmp_path / "x.json"
+        weights.write_text(json.dumps(data), encoding="utf-8")
+        result = runner.invoke(cli, [command, "--manifest", str(broken), "--weights", str(weights)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {message.format(path=weights)}\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "fuse"])
+    def test_empty_subset(self, broken, runner, command):
+        result = runner.invoke(cli, [command, "--manifest", str(broken), "--subset", " , "])
+        assert result.exit_code == 1
+        assert result.stderr == "error: --subset must list at least one classifier name\n"
+
+    def test_search_seed(self, broken, tmp_path, runner):
+        out = tmp_path / "w.json"
+        result = runner.invoke(
+            cli, ["search-weights", "--manifest", str(broken), "--seed", "-1", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert result.stderr == "error: seed must be in [0, 2**64), got -1\n"
+        assert not out.exists()
+
+
 class TestMalformedInputsExitOne:
     def _corrupt_cell(self, bundle, value):
         manifest = json.loads(bundle.read_text(encoding="utf-8"))

@@ -93,6 +93,20 @@ class TestEnsembleInputs:
         inputs = EnsembleInputs((a,), labels)
         assert inputs.label_array.tolist() == [0, 1]
 
+    def test_labels_are_the_callers_object_when_already_aligned(self):
+        a = PredictionSet("m", ("x", "y"), [[1.0, 0.0], [0.0, 1.0]])
+        labels = LabeledSamples(("x", "y"), [0, 1])
+        inputs = EnsembleInputs((a,), labels)
+        assert inputs.labels is labels
+        assert inputs.subset(["m"]).labels is labels
+
+    def test_labels_follow_row_order_and_drop_unused_ids(self):
+        a = PredictionSet("m", ("x", "y"), [[1.0, 0.0], [0.0, 1.0]])
+        inputs = EnsembleInputs((a,), LabeledSamples(("extra", "y", "x"), [1, 1, 0]))
+        assert inputs.labels.sample_ids == ("x", "y")
+        assert inputs.labels.labels.tolist() == [0, 1]
+        assert inputs.label_array is inputs.labels.labels
+
     def test_subset_orders_and_validates(self):
         inputs = random_ensemble(np.random.default_rng(0), 3, 5, 4)
         sub = inputs.subset(["clf2", "clf0"])

@@ -9,6 +9,7 @@ fuzzed CSV text gives exactly what a row-at-a-time reference reader gives.
 
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from softvote import (
     write_labels,
     write_predictions,
 )
-from softvote import ingest
+from softvote import core, ingest
 from softvote.core import ROW_SUM_TOLERANCE
 
 ODD_IDS = ("plain", "comma,inside", 'quote"inside', '"quoted"', "#hash", " leading space", "", "trailing ")
@@ -49,6 +50,10 @@ def _use_block(monkeypatch, block):
     # which is not undone between examples, so each example sets its size,
     # the default (None) included.
     monkeypatch.setattr(ingest, "_BLOCK_CELLS", DEFAULT_BLOCK_CELLS if block is None else block)
+
+
+# Five valid rows: blocks of 1, 3 or 7 cells end inside them.
+CLEAN_ROWS = "".join(f"s{i},0.5,0.5\n" for i in range(1, 6))
 
 
 def _write(tmp_path, text, name="m.csv"):
@@ -165,6 +170,10 @@ class TestPinnedSemantics:
             ("s1,0.5,0.5\ns2,x,y\n", "row 3: non-numeric probability 'x'"),
             ("s1,0.5,0.5\ns2,2.0,-1.0\n", r"row 3: probability outside \[0, 1\]"),
             ("s1,0.5,0.5\ns2,0.5,0.5\ns3,0.5,0.5\ns4,0.5,0.4\ns5,0.5\n", "row 5: probabilities sum"),
+            # faults only the constructor sees: an id repeated across blocks,
+            # a bad sum in the last block
+            (CLEAN_ROWS + "s2,0.5,0.5\n", "row 7: duplicate sample_id 's2' \\(first at row 3\\)"),
+            (CLEAN_ROWS + "s6,0.5,0.4\n", r"row 7: probabilities sum to 0\.9 "),
         ],
     )
     def test_first_bad_row_is_reported(self, tmp_path, block_cells, body, message):
@@ -182,6 +191,7 @@ class TestPinnedSemantics:
             ("a,0\nb,99999999999999999999\n", LabelRangeError, "row 3: label 99999999999999999999"),
             ("a,0\nb,1\nb,x\n", FormatError, "row 4: duplicate sample_id 'b'"),
             ("a,0\nb,9\nb,1\n", LabelRangeError, "row 3: label 9"),
+            ("a,0\nb,1\nc,2\nd,0\nb,1\n", FormatError, r"row 6: duplicate sample_id 'b' \(first at row 3\)"),
         ],
     )
     def test_first_bad_label_row_is_reported(self, tmp_path, block_cells, body, error, message):
@@ -190,9 +200,9 @@ class TestPinnedSemantics:
             load_labels(p, 3)
 
     def test_bad_value_inside_an_otherwise_clean_block(self, tmp_path):
-        # One block at the default size: cell counts and ids pass the bulk
-        # checks, the conversion succeeds or fails on the third row only, and
-        # the row walk names that row rather than the block's first.
+        # One block at the default size: every row has its cells, the
+        # conversion or the constructor fails on the third row only, and the
+        # walk from the top names that row rather than the block's first.
         rows = "a,0.5,0.5\nb,1,0\nc,{}\nd,0,1\n"
         p = _write(tmp_path, "sample_id,p0,p1\n" + rows.format("0.5,0.4"))
         with pytest.raises(FormatError, match=r"m\.csv: row 4: probabilities sum to 0\.9 "):
@@ -203,6 +213,35 @@ class TestPinnedSemantics:
         labels = _write(tmp_path, "sample_id,label\na,0\nb,1\nc,99999999999999999999\nd,2\n", "l.csv")
         with pytest.raises(LabelRangeError, match=r"l\.csv: row 4: label 99999999999999999999 outside \[0, 3\)"):
             load_labels(labels, 3)
+
+    def test_each_row_is_validated_once_inside_the_constructor(self, tmp_path, monkeypatch):
+        # A valid file of 4 blocks: the reader only parses, and the row and
+        # duplicate-id checks run once, over the whole file, in core.
+        calls = []
+
+        def counting(name, check):
+            def wrapper(arg):
+                frame = sys._getframe(1)
+                calls.append((name, frame.f_globals["__name__"], frame.f_code.co_name, len(arg)))
+                return check(arg)
+
+            return wrapper
+
+        for module in (core, ingest):
+            monkeypatch.setattr(module, "_first_invalid_row", counting("row", module._first_invalid_row))
+        monkeypatch.setattr(core, "_first_duplicate", counting("dup", core._first_duplicate))
+        monkeypatch.setattr(ingest, "_BLOCK_CELLS", 30)
+        rng = np.random.default_rng(7)
+        ids = tuple(f"s{i}" for i in range(40))
+        write_predictions(PredictionSet("m", ids, rng.dirichlet(np.ones(2), size=40)), tmp_path / "m.csv")
+        write_labels(LabeledSamples(ids, [i % 2 for i in range(40)]), tmp_path / "l.csv")
+        calls.clear()
+        assert load_predictions(tmp_path / "m.csv", 2).sample_ids == ids
+        inside = ("softvote.core", "__post_init__", 40)
+        assert sorted(calls) == [("dup", *inside), ("row", *inside)]
+        calls.clear()
+        assert load_labels(tmp_path / "l.csv", 2).sample_ids == ids
+        assert calls == [("dup", *inside)]
 
     def test_labels_cells_parse_like_python_int(self, tmp_path, block_cells):
         p = _write(tmp_path, "sample_id,label\na, 2 \nb,+1\nc,٠\nd,0_1\n", "l.csv")

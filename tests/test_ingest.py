@@ -7,6 +7,7 @@ from softvote import (
     AlignmentError,
     ClassifierProfile,
     ConfigError,
+    EnsembleInputs,
     EvaluationReport,
     FormatError,
     GAConfig,
@@ -277,6 +278,18 @@ class TestSplitSamples:
             split_samples(self._labels(2), SplitSpec(train_fraction=0.25, seed=0))
         with pytest.raises(SplitError):
             split_samples(self._labels(1), SplitSpec(seed=0))
+
+    def test_readme_split_with_labels_for_unused_ids(self):
+        # The README's library-use split draws from inputs.labels; ids that
+        # only the labels file lists must not reach restrict().
+        ids = ("a", "b", "c", "d")
+        probs = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.25, 0.75]]
+        classifiers = (PredictionSet("m", ids, probs), PredictionSet("n", ids, probs))
+        labels = LabeledSamples(ids + ("extra1", "extra2"), [0, 1, 0, 1, 0, 1])
+        inputs = EnsembleInputs(classifiers, labels)
+        train, heldout = split_samples(inputs.labels, SplitSpec(seed=3, train_fraction=0.5))
+        assert sorted(train + heldout) == list(ids)
+        assert inputs.restrict(heldout).sample_ids == heldout
 
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
