@@ -170,6 +170,11 @@ def report_cmd(report_path: str, manifest_path: str | None, out: str, fmt: str) 
         return
     if manifest_path is not None:
         class_names = ingest.read_manifest(manifest_path).class_names
+        if len(class_names) != report.num_classes:
+            raise DimensionError(
+                f"{manifest_path}: class_names lists {len(class_names)} names "
+                f"but {report_path} has {report.num_classes} classes"
+            )
     elif report.num_classes == len(ingest.DEFAULT_CLASS_NAMES):
         class_names = ingest.default_class_names()
     else:

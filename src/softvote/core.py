@@ -271,7 +271,7 @@ class EnsembleInputs:
 
 
 def as_weights(weights: Sequence[float] | np.ndarray, n_classifiers: int) -> np.ndarray:
-    """Validate one weight per classifier: finite, non-negative, positive sum."""
+    """Validate one weight per classifier: finite, non-negative, positive finite sum."""
     w = np.array(weights, dtype=np.float64)
     if w.ndim != 1:
         raise DimensionError(f"weights must be 1-D, got shape {w.shape}")
@@ -281,8 +281,12 @@ def as_weights(weights: Sequence[float] | np.ndarray, n_classifiers: int) -> np.
         raise DegenerateWeightsError("weights must be finite")
     if np.any(w < 0.0):
         raise DegenerateWeightsError("weights must be non-negative")
-    if w.sum() <= 0.0:
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if total <= 0.0:
         raise DegenerateWeightsError("weights must not sum to zero")
+    if not np.isfinite(total):
+        raise DegenerateWeightsError("weights must have a finite sum")
     return _frozen(w)
 
 

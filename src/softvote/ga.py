@@ -66,6 +66,12 @@ from .errors import (
 from .metrics import DEGENERATE_GENE_SUM  # noqa: F401  (kept as ga's public name)
 from .rng import check_seed, make_rng
 
+# Upper limits on the search's counts. A run holds two (population_size, N)
+# gene arrays and breeds ``generations`` times, so a larger count is a
+# ConfigError, not a failed allocation or a search that does not end.
+MAX_POPULATION_SIZE = 100_000
+MAX_GENERATIONS = 100_000
+
 
 @dataclass(frozen=True)
 class GAConfig:
@@ -80,14 +86,12 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("population_size", "generations"):
+        for name, low, high in (("population_size", 2, MAX_POPULATION_SIZE), ("generations", 1, MAX_GENERATIONS)):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if self.population_size < 2:
-            raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
-        if self.generations < 1:
-            raise ConfigError(f"generations must be >= 1, got {self.generations}")
+            if not low <= v <= high:
+                raise ConfigError(f"{name} must be in [{low}, {high}], got {v}")
         for name in (
             "elite_fraction",
             "extra_parent_fraction",
@@ -97,11 +101,12 @@ class GAConfig:
             v = getattr(self, name)
             if not isinstance(v, Real) or isinstance(v, bool):
                 raise ConfigError(f"{name} must be a real number, got {v!r}")
+        # Compared without float(), which overflows on a huge integer.
         for name in ("elite_fraction", "extra_parent_fraction", "fitness_sample_fraction"):
-            v = float(getattr(self, name))
+            v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must be in (0, 1], got {v!r}")
-        if not 0.0 <= float(self.mutation_rate) <= 1.0:
+        if not 0.0 <= self.mutation_rate <= 1.0:
             raise ConfigError(f"mutation_rate must be in [0, 1], got {self.mutation_rate!r}")
         if math.floor(self.elite_fraction * self.population_size) < 1:
             raise ConfigError(

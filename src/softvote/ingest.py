@@ -13,12 +13,17 @@ Formats (all UTF-8; LF written, LF, CRLF and CR accepted on read):
                     ``per_class_accuracy``, ``classifier_names``,
                     ``sample_count``
 
-Numbers, strings and arrays in the manifest, generator spec, weights and
-report JSON are read by typed helpers: a value of the wrong JSON type (a
-bool or a string for a number, a float for an int, a non-finite value, a
-number or null for a name, a scalar for an array) is an error naming the
-file and the key, never coerced. A JSON file that is not UTF-8 text is an
-error too.
+The manifest, generator spec, weights and report JSON are each checked
+by ``_typed`` against one key table, whose entries are ``int``, ``float``
+(finite), ``str``, ``[entry]`` for an array and ``{key: entry}`` for an
+object with exactly those keys. A missing or extra key, or a value of the
+wrong JSON type (a bool or a string for a number, a float for an int, a
+non-finite value, a number or null for a name, a scalar for an array), is
+an error naming the file and the key path, such as ``confusion[2][1]``;
+nothing is coerced. The values then go to one constructor (``GAConfig``
+for the GA config, whose keys are optional) through ``_built``, which puts
+the file and key path before any range or limit error it raises. A JSON
+file that is not UTF-8 text, or that json cannot decode, is an error too.
 
 Floats are written with Python's shortest round-trip repr, so
 write -> read -> write is byte-identical. Every CSV (predictions, labels
@@ -65,7 +70,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import EnsembleInputs, LabeledSamples, PredictionSet, _first_invalid_row
+from .core import EnsembleInputs, LabeledSamples, PredictionSet, _first_invalid_row, as_weights
 from .errors import (
     ConfigError,
     FormatError,
@@ -114,15 +119,14 @@ class Manifest:
         object.__setattr__(self, "class_names", tuple(self.class_names))
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
         if self.num_classes < 1:
-            raise ValidationError("manifest num_classes must be >= 1")
+            raise ValidationError(f"num_classes must be >= 1, got {self.num_classes}")
         if len(self.class_names) != self.num_classes:
-            raise ValidationError(
-                f"manifest lists {len(self.class_names)} class names "
-                f"for {self.num_classes} classes"
-            )
+            raise ValidationError(f"class_names lists {len(self.class_names)} names for {self.num_classes} classes")
+        if not self.classifiers:
+            raise ValidationError("classifiers must list at least one classifier")
         names = [entry.name for entry in self.classifiers]
         if len(set(names)) != len(names):
-            raise ValidationError("manifest classifier names must be unique")
+            raise ValidationError("classifier names must be unique")
 
 
 @dataclass(frozen=True)
@@ -398,7 +402,7 @@ def _load_json(path: str | Path):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -406,25 +410,8 @@ def _dump_json(obj, path: str | Path) -> None:
     _write_text(path, [json.dumps(obj, indent=2) + "\n"])
 
 
-def _require_keys(data, keys: Sequence[str], path: str | Path, what: str) -> None:
-    if not isinstance(data, dict):
-        raise FormatError(f"{path}: {what} must be a JSON object")
-    missing = [k for k in keys if k not in data]
-    extra = [k for k in data if k not in keys]
-    if missing or extra:
-        raise FormatError(
-            f"{path}: {what} keys must be exactly {{{', '.join(keys)}}}"
-            + (f"; missing {missing}" if missing else "")
-            + (f"; unexpected {extra}" if extra else "")
-        )
-
-
 def _number(value, key: str, kind: type, path: str | Path) -> int | float:
-    """JSON ``value`` of ``key`` as an int, or as a finite float when ``kind`` is float.
-
-    A bool, a string, a non-integral number for an int, or a non-finite
-    value is a FormatError naming the file and the key; nothing is coerced.
-    """
+    """JSON ``value`` of ``key`` as an int, or as a finite float when ``kind`` is float."""
     if kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
@@ -439,51 +426,55 @@ def _number(value, key: str, kind: type, path: str | Path) -> int | float:
     return kind(value)
 
 
-def _array(value, key: str, path: str | Path) -> list:
-    """JSON ``value`` of ``key`` as a list; any other type is a FormatError."""
-    if not isinstance(value, list):
-        raise FormatError(f"{path}: {key} must be an array, got {value!r}")
-    return value
+def _typed(value, schema, path: str | Path, what: str, key: str = ""):
+    """``value`` checked against ``schema`` (see the module docstring), as plain JSON values.
+
+    ``key`` is the key path of ``value``, "" for the document, which errors call ``what``.
+    """
+    if isinstance(schema, dict):
+        name = key or what
+        if not isinstance(value, dict):
+            raise FormatError(f"{path}: {name} must be a JSON object")
+        missing = [k for k in schema if k not in value]
+        extra = [k for k in value if k not in schema]
+        if missing or extra:
+            raise FormatError(
+                f"{path}: {name} keys must be exactly {{{', '.join(schema)}}}"
+                + (f"; missing {missing}" if missing else "")
+                + (f"; unexpected {extra}" if extra else "")
+            )
+        return {k: _typed(value[k], item, path, what, f"{key}.{k}" if key else k) for k, item in schema.items()}
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            raise FormatError(f"{path}: {key} must be an array, got {value!r}")
+        return [_typed(v, schema[0], path, what, f"{key}[{i}]") for i, v in enumerate(value)]
+    if schema is str:
+        if not isinstance(value, str):
+            raise FormatError(f"{path}: {key} must be a string, got {value!r}")
+        return value
+    return _number(value, key, schema, path)
 
 
-def _string(value, key: str, path: str | Path) -> str:
-    """JSON ``value`` of ``key`` as a str; any other type is a FormatError."""
-    if not isinstance(value, str):
-        raise FormatError(f"{path}: {key} must be a string, got {value!r}")
-    return value
+def _built(path: str | Path, where: str, build: Callable, **values):
+    """``build(**values)``; a ValidationError it raises keeps its class and gains ``"{path}: {where}"``."""
+    try:
+        return build(**values)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {where}{exc}") from None
 
 
-def _strings(values, key: str, path: str | Path) -> tuple[str, ...]:
-    """A JSON array of strings, each read by ``_string``."""
-    values = _array(values, key, path)
-    return tuple(_string(v, f"{key}[{i}]", path) for i, v in enumerate(values))
-
-
-def _reals(values, key: str, path: str | Path) -> list[float]:
-    """A JSON array of finite numbers, each read by ``_number``."""
-    values = _array(values, key, path)
-    return [_number(v, f"{key}[{i}]", float, path) for i, v in enumerate(values)]
+_MANIFEST_SCHEMA = {
+    "num_classes": int,
+    "class_names": [str],
+    "classifiers": [{"name": str, "path": str}],
+    "labels": str,
+}
 
 
 def read_manifest(path: str | Path) -> Manifest:
-    data = _load_json(path)
-    _require_keys(data, ["num_classes", "class_names", "classifiers", "labels"], path, "manifest")
-    entries = []
-    for i, item in enumerate(_array(data["classifiers"], "classifiers", path)):
-        _require_keys(item, ["name", "path"], path, "manifest classifier")
-        where = f"classifiers[{i}]."
-        entries.append(
-            ManifestEntry(
-                name=_string(item["name"], where + "name", path),
-                path=_string(item["path"], where + "path", path),
-            )
-        )
-    return Manifest(
-        num_classes=_number(data["num_classes"], "num_classes", int, path),
-        class_names=_strings(data["class_names"], "class_names", path),
-        classifiers=tuple(entries),
-        labels_path=_string(data["labels"], "labels", path),
-    )
+    data = _typed(_load_json(path), _MANIFEST_SCHEMA, path, "manifest")
+    entries = [ManifestEntry(**entry) for entry in data.pop("classifiers")]
+    return _built(path, "", Manifest, classifiers=entries, labels_path=data.pop("labels"), **data)
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
@@ -515,16 +506,21 @@ def load_manifest(path: str | Path) -> EnsembleInputs:
     return load_ensemble(read_manifest(path), path.parent)
 
 
+_WEIGHTS_SCHEMA = {"weights": [float], "full_data_nll": float}
+
+
+def _weights_file(weights: list[float], full_data_nll: float) -> tuple[np.ndarray, float]:
+    if not weights:
+        raise FormatError("weights must be a non-empty array")
+    if full_data_nll < 0.0:
+        raise FormatError(f"full_data_nll must be non-negative, got {full_data_nll!r}")
+    # The checks fusion makes, so a bad file fails where it is read.
+    as_weights(weights, len(weights))
+    return np.array(weights, dtype=np.float64), full_data_nll
+
+
 def read_weights(path: str | Path) -> tuple[np.ndarray, float]:
-    data = _load_json(path)
-    _require_keys(data, ["weights", "full_data_nll"], path, "weights file")
-    weights = np.array(_reals(data["weights"], "weights", path), dtype=np.float64)
-    if weights.size == 0:
-        raise FormatError(f"{path}: weights must be a non-empty array")
-    nll_value = _number(data["full_data_nll"], "full_data_nll", float, path)
-    if nll_value < 0.0:
-        raise FormatError(f"{path}: full_data_nll must be non-negative, got {nll_value!r}")
-    return weights, nll_value
+    return _built(path, "", _weights_file, **_typed(_load_json(path), _WEIGHTS_SCHEMA, path, "weights file"))
 
 
 def write_weights(weights: Sequence[float] | np.ndarray, full_data_nll: float, path: str | Path) -> None:
@@ -537,31 +533,26 @@ def write_weights(weights: Sequence[float] | np.ndarray, full_data_nll: float, p
     )
 
 
-REPORT_KEYS = (
-    "nll",
-    "accuracy_percent",
-    "confusion",
-    "per_class_accuracy",
-    "classifier_names",
-    "sample_count",
-)
+_REPORT_SCHEMA = {
+    "nll": float,
+    "accuracy_percent": float,
+    "confusion": [[float]],
+    "per_class_accuracy": [float],
+    "classifier_names": [str],
+    "sample_count": int,
+}
+REPORT_KEYS = tuple(_REPORT_SCHEMA)
+
+
+def _report(confusion: list[list[float]], **values) -> EvaluationReport:
+    # np.array rejects ragged rows with a ValueError that names nothing.
+    if len(set(map(len, confusion))) > 1:
+        raise FormatError("confusion rows must all have the same length")
+    return EvaluationReport(confusion=np.array(confusion, dtype=np.float64), **values)
 
 
 def read_report(path: str | Path) -> EvaluationReport:
-    data = _load_json(path)
-    _require_keys(data, REPORT_KEYS, path, "report")
-    confusion = _array(data["confusion"], "confusion", path)
-    rows = [_reals(row, f"confusion[{i}]", path) for i, row in enumerate(confusion)]
-    if len(set(map(len, rows))) > 1:
-        raise FormatError(f"{path}: confusion rows must all have the same length")
-    return EvaluationReport(
-        nll=_number(data["nll"], "nll", float, path),
-        accuracy_percent=_number(data["accuracy_percent"], "accuracy_percent", float, path),
-        confusion=np.array(rows, dtype=np.float64),
-        per_class_accuracy=np.array(_reals(data["per_class_accuracy"], "per_class_accuracy", path)),
-        classifier_names=_strings(data["classifier_names"], "classifier_names", path),
-        sample_count=_number(data["sample_count"], "sample_count", int, path),
-    )
+    return _built(path, "", _report, **_typed(_load_json(path), _REPORT_SCHEMA, path, "report"))
 
 
 def report_to_json(report: EvaluationReport) -> str:
@@ -644,6 +635,16 @@ def write_report(
 GA_CONFIG_KEYS = tuple(field.name for field in fields(GAConfig))
 
 
+def _ga_config(**values) -> GAConfig:
+    config = GAConfig(**values)
+    if sum(_parent_counts(config, config.population_size)) < 2:
+        raise ConfigError(
+            f"population_size {config.population_size} with elite_fraction {config.elite_fraction} and "
+            f"extra_parent_fraction {config.extra_parent_fraction} selects 1 parent; crossover needs at least 2"
+        )
+    return config
+
+
 def read_ga_config(path: str | Path) -> GAConfig:
     """GA settings from JSON; every key is optional and defaults apply."""
     data = _load_json(path)
@@ -652,43 +653,26 @@ def read_ga_config(path: str | Path) -> GAConfig:
     unknown = [k for k in data if k not in GA_CONFIG_KEYS]
     if unknown:
         raise ConfigError(f"{path}: unknown GA config keys {unknown}")
-    try:
-        config = GAConfig(**data)
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"{path}: bad GA config: {exc}") from None
-    if sum(_parent_counts(config, config.population_size)) < 2:
-        raise ConfigError(
-            f"{path}: bad GA config: population_size {config.population_size} with elite_fraction "
-            f"{config.elite_fraction} and extra_parent_fraction {config.extra_parent_fraction} "
-            "selects 1 parent; crossover needs at least 2"
-        )
-    return config
+    return _built(path, "bad GA config: ", _ga_config, **data)
 
 
 def write_ga_config(config: GAConfig, path: str | Path) -> None:
     _dump_json({k: getattr(config, k) for k in GA_CONFIG_KEYS}, path)
 
 
+_GENERATOR_SPEC_SCHEMA = {
+    "num_classes": int,
+    "num_samples": int,
+    "seed": int,
+    "classifiers": [{"name": str, "accuracy": float, "sharpness": float}],
+}
+
+
 def read_generator_spec(path: str | Path) -> GeneratorSpec:
-    data = _load_json(path)
-    _require_keys(data, ["num_classes", "num_samples", "seed", "classifiers"], path, "generator spec")
-    profiles = []
-    for i, item in enumerate(_array(data["classifiers"], "classifiers", path)):
-        _require_keys(item, ["name", "accuracy", "sharpness"], path, "classifier profile")
-        where = f"classifiers[{i}]."
-        profiles.append(
-            ClassifierProfile(
-                name=_string(item["name"], where + "name", path),
-                accuracy=_number(item["accuracy"], where + "accuracy", float, path),
-                sharpness=_number(item["sharpness"], where + "sharpness", float, path),
-            )
-        )
-    return GeneratorSpec(
-        num_classes=_number(data["num_classes"], "num_classes", int, path),
-        num_samples=_number(data["num_samples"], "num_samples", int, path),
-        profiles=tuple(profiles),
-        seed=_number(data["seed"], "seed", int, path),
-    )
+    data = _typed(_load_json(path), _GENERATOR_SPEC_SCHEMA, path, "generator spec")
+    classifiers = enumerate(data.pop("classifiers"))
+    profiles = [_built(path, f"classifiers[{i}].", ClassifierProfile, **p) for i, p in classifiers]
+    return _built(path, "", GeneratorSpec, profiles=profiles, **data)
 
 
 # ----------------------------------------------------------- split & bundle

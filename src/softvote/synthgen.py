@@ -29,6 +29,12 @@ from .rng import check_seed, make_rng
 
 ORACLE_MAX_CLASSIFIERS = 3
 
+# Upper limits on a spec's counts. ``generate`` holds a string id per sample
+# and one (num_samples, num_classes) float64 array per profile, so a larger
+# count is a ConfigError, not a failed allocation.
+MAX_NUM_CLASSES = 1_000
+MAX_NUM_SAMPLES = 1_000_000
+
 
 @dataclass(frozen=True)
 class ClassifierProfile:
@@ -60,14 +66,12 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "profiles", tuple(self.profiles))
-        for name in ("num_classes", "num_samples"):
+        for name, high in (("num_classes", MAX_NUM_CLASSES), ("num_samples", MAX_NUM_SAMPLES)):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.num_samples < 1:
-            raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
+            if not 1 <= v <= high:
+                raise ConfigError(f"{name} must be in [1, {high}], got {v}")
         if not self.profiles:
             raise ConfigError("need at least one classifier profile")
         bad = next((p for p in self.profiles if not isinstance(p, ClassifierProfile)), None)

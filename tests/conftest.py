@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from softvote import EnsembleInputs, LabeledSamples, PredictionSet
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, so a
+# failing property test there fails the same way locally under that profile.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def build_ensemble(matrices, labels, names=None, ids=None):

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import re
@@ -6,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softvote import (
     EnsembleInputs,
@@ -19,6 +22,7 @@ from softvote import (
     read_weights,
     write_ensemble,
 )
+from softvote import synthgen
 from softvote.cli import cli
 
 GEN_SPEC = {
@@ -152,7 +156,7 @@ class TestSearchWeights:
         assert result.exit_code == 0
         assert result.stderr.count("generation ") == 2
 
-    @pytest.mark.parametrize("value", ["abc", True])
+    @pytest.mark.parametrize("value", ["abc", True, 10**400])
     def test_non_real_config_value_is_validation_error(self, bundle, tmp_path, runner, value):
         config = tmp_path / "ga.json"
         config.write_text(json.dumps({"elite_fraction": value}), encoding="utf-8")
@@ -166,6 +170,24 @@ class TestSearchWeights:
         assert "ga.json" in result.stderr and "elite_fraction" in result.stderr
         assert "Traceback" not in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, limit",
+        [("population_size", 10**30, "[2, 100000]"), ("population_size", 10**12, "[2, 100000]"),
+         ("generations", 10**30, "[1, 100000]")],
+    )
+    def test_oversized_count_fails_before_loading(self, tmp_path, runner, key, value, limit):
+        # The manifest does not exist, so a config that passed would end in an
+        # i/o error (exit 2) before any search could allocate or run.
+        config = tmp_path / "ga.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        result = runner.invoke(
+            cli,
+            ["search-weights", "--manifest", str(tmp_path / "missing.json"), "--config", str(config),
+             "--out", str(tmp_path / "w.json")],
+        )
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {config}: bad GA config: {key} must be in {limit}, got {value}\n"
 
     def test_config_keeping_one_parent_fails_before_loading(self, tmp_path, runner):
         # 9 chromosomes keep floor(0.2 * 9) = 1 elite and floor(0.1 * 8) = 0
@@ -416,6 +438,16 @@ class TestReportCommand:
         assert result.exit_code == 0
         assert "C6 = drink" in result.stdout
 
+    def test_manifest_with_other_class_count_names_both_files(self, bundle, tmp_path, runner):
+        report_path = self._report_file(bundle, tmp_path, runner)
+        manifest = json.loads(bundle.read_text(encoding="utf-8"))
+        manifest.update(num_classes=2, class_names=["a", "b"])
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(manifest), encoding="utf-8")
+        result = runner.invoke(cli, ["report", str(report_path), "--manifest", str(other)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {other}: class_names lists 2 names but {report_path} has 10 classes\n"
+
     def test_json_passthrough_is_stable(self, bundle, tmp_path, runner):
         report_path = self._report_file(bundle, tmp_path, runner)
         result = runner.invoke(cli, ["report", str(report_path), "--format", "json"])
@@ -481,8 +513,11 @@ class TestSmallInputsBeforeData:
                 {"weights": [0.5, 0.5], "full_data_nll": 0.1},
                 "weights file has 2 weights but the manifest lists 3 classifiers",
             ),
+            ({"weights": [-1.0, 2.0, 1.0], "full_data_nll": 0.1}, "{path}: weights must be non-negative"),
+            ({"weights": [0.0, 0.0, 0.0], "full_data_nll": 0.1}, "{path}: weights must not sum to zero"),
+            ({"weights": [1e308, 1e308, 1.0], "full_data_nll": 0.1}, "{path}: weights must have a finite sum"),
         ],
-        ids=["type", "count"],
+        ids=["type", "count", "negative", "zero-sum", "infinite-sum"],
     )
     def test_weights_file(self, broken, tmp_path, runner, command, data, message):
         weights = tmp_path / "x.json"
@@ -578,9 +613,15 @@ class TestMalformedInputsExitOne:
             ({"seed": 1.9}, "seed must be an integer, got 1.9"),
             ({"accuracy": "abc"}, "classifiers[0].accuracy must be a finite number, got 'abc'"),
             ({"classifiers": 5}, "classifiers must be an array, got 5"),
+            ({"num_classes": 0}, "num_classes must be in [1, 1000], got 0"),
+            ({"accuracy": 1.5}, "classifiers[0].accuracy must be in (0, 1], got 1.5"),
+            ({"num_samples": 10**12}, "num_samples must be in [1, 1000000], got 1000000000000"),
+            ({"num_classes": 10**9}, "num_classes must be in [1, 1000], got 1000000000"),
         ],
     )
-    def test_bad_generator_spec_value(self, tmp_path, runner, change, message):
+    def test_bad_generator_spec_value(self, tmp_path, runner, monkeypatch, change, message):
+        # A spec that passed would reach generate(), which must never see an oversized count.
+        monkeypatch.setattr(synthgen, "generate", lambda spec: pytest.fail(f"generated {spec}"))
         spec = json.loads(json.dumps(GEN_SPEC))
         if "accuracy" in change:
             spec["classifiers"][0]["accuracy"] = change["accuracy"]
@@ -601,6 +642,8 @@ class TestMalformedInputsExitOne:
             ({"sample_count": 2.7}, "sample_count must be an integer, got 2.7"),
             ({"sample_count": True}, "sample_count must be an integer, got True"),
             ({"classifier_names": 5}, "classifier_names must be an array, got 5"),
+            ({"nll": -1.0}, "nll must be a non-negative real, got -1.0"),
+            ({"accuracy_percent": 101.0}, "accuracy_percent out of [0, 100]: 101.0"),
         ],
     )
     def test_bad_report_value(self, bundle, tmp_path, runner, change, message):
@@ -621,3 +664,116 @@ class TestMalformedInputsExitOne:
             result = runner.invoke(cli, [command, "--manifest", str(bundle), "--weights", str(weights)])
             assert result.exit_code == 1
             assert result.stderr == f"error: {weights}: weights[0] must be a finite number, got True\n"
+
+
+# Values a fuzzed JSON document gets in place of one of its values, or under
+# an extra key; each draw is a fresh copy.
+FUZZ_VALUES = st.sampled_from(
+    [None, True, False, "x", "", [], [0.5], {}, {"k": 1}, float("nan"), float("inf"), float("-inf"), 1e308, 10**30]
+).map(copy.deepcopy)
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _paths(doc, path=()):
+    """The key path of ``doc`` and of every value inside it, as tuples of keys and indices."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+def _mutated(doc, data):
+    """``doc`` with one or two values replaced, deleted or added, as Hypothesis draws them."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(_paths(doc))
+        op = data.draw(st.sampled_from(["set", "delete", "extra"]))
+        if op == "extra":
+            objects = [p for p in paths if isinstance(_at(doc, p), dict)]
+            if objects:
+                _at(doc, data.draw(st.sampled_from(objects)))["extra"] = data.draw(FUZZ_VALUES)
+            continue
+        path = data.draw(st.sampled_from(paths))
+        if not path:  # the document itself can be replaced but not deleted
+            if op == "set":
+                doc = data.draw(FUZZ_VALUES)
+        elif op == "set":
+            _at(doc, path[:-1])[path[-1]] = data.draw(FUZZ_VALUES)
+        else:
+            del _at(doc, path[:-1])[path[-1]]
+    return doc
+
+
+# The one error about two files names them by their roles; its text is pinned
+# in TestSmallInputsBeforeData.
+COUNT_MISMATCH = re.compile(r"error: weights file has \d+ weights but the manifest lists \d+ classifiers")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A 3-classifier, 20-sample, 3-class bundle, plus a valid document of each JSON kind."""
+    root = tmp_path_factory.mktemp("fuzz")
+    runner = CliRunner()
+    spec = {
+        "num_classes": 3,
+        "num_samples": 20,
+        "seed": 2,
+        "classifiers": [{"name": n, "accuracy": a, "sharpness": 2.0} for n, a in (("a", 0.9), ("b", 0.7), ("c", 0.5))],
+    }
+    (root / "gen.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert runner.invoke(cli, ["simulate", "--config", str(root / "gen.json"), "--out", str(root / "b")]).exit_code == 0
+    report = root / "report.json"
+    args = ["evaluate", "--manifest", str(root / "b" / "manifest.json"), "--format", "json", "--out", str(report)]
+    assert runner.invoke(cli, args).exit_code == 0
+    docs = {
+        "generator spec": spec,
+        "manifest": json.loads((root / "b" / "manifest.json").read_text(encoding="utf-8")),
+        "weights": {"weights": [0.5, 0.3, 0.2], "full_data_nll": 0.5},
+        "report": json.loads(report.read_text(encoding="utf-8")),
+        "GA config": {"population_size": 6, "elite_fraction": 0.5, "extra_parent_fraction": 0.5,
+                      "mutation_rate": 0.2, "generations": 2, "fitness_sample_fraction": 0.5, "seed": 1},
+    }
+    (root / "ga.json").write_text(json.dumps(docs["GA config"]), encoding="utf-8")
+    return root, docs
+
+
+class TestJsonFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_json_exits_cleanly_naming_the_file(self, fuzz_files, data):
+        root, docs = fuzz_files
+        kind = data.draw(st.sampled_from(sorted(docs)))
+        # The manifest sits in the bundle, where the paths it lists resolve.
+        path = root / ("b/fuzzed.json" if kind == "manifest" else "fuzzed.json")
+        path.write_text(json.dumps(_mutated(docs[kind], data)), encoding="utf-8")
+        manifest, report, config, out = (str(root / f) for f in ("b/manifest.json", "report.json", "ga.json", "w.json"))
+        file = str(path)
+        # A fuzzed manifest may list another file of the bundle, which an error then names.
+        names = (file, str(path.parent)) if kind == "manifest" else (file,)
+        commands = {
+            "generator spec": [["simulate", "--config", file, "--out", str(root / "sim")]],
+            "manifest": [
+                ["evaluate", "--manifest", file],
+                ["fuse", "--manifest", file],
+                ["search-weights", "--manifest", file, "--config", config, "--out", out],
+                ["report", report, "--manifest", file],
+            ],
+            "weights": [["evaluate", "--manifest", manifest, "--weights", file],
+                        ["fuse", "--manifest", manifest, "--weights", file]],
+            "report": [["report", file], ["report", file, "--format", "json"]],
+            "GA config": [["search-weights", "--manifest", manifest, "--config", file, "--out", out]],
+        }[kind]
+        for args in commands:
+            result = CliRunner().invoke(cli, args)
+            assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+            assert result.exit_code in (0, 1, 2)
+            if result.exit_code:
+                errors = [line for line in result.stderr.splitlines() if line.startswith(("error: ", "i/o error: "))]
+                assert any(name in line for line in errors for name in names) or (
+                    len(errors) == 1 and COUNT_MISMATCH.fullmatch(errors[0])
+                ), (args, result.stderr)

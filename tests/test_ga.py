@@ -55,6 +55,10 @@ class TestGAConfig:
             {"mutation_rate": -0.1},
             {"seed": -1},
             {"population_size": 4},  # floor(0.2 * 4) = 0 elites
+            {"population_size": 100_001},
+            {"generations": 100_001},
+            {"elite_fraction": 10**400},  # float() of it would overflow
+            {"mutation_rate": 10**400},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from softvote import (
     AlignmentError,
     ClassifierProfile,
     ConfigError,
+    DegenerateWeightsError,
+    DimensionError,
     EnsembleInputs,
     EvaluationReport,
     FormatError,
@@ -41,6 +44,9 @@ from softvote import (
     write_report,
     write_weights,
 )
+
+from softvote.ga import MAX_GENERATIONS, MAX_POPULATION_SIZE
+from softvote.synthgen import MAX_NUM_CLASSES, MAX_NUM_SAMPLES
 
 from conftest import random_ensemble
 
@@ -624,3 +630,96 @@ class TestTypedJsonFields:
         p.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(FormatError, match=r"w\.json: " + message):
             read_weights(p)
+
+    @pytest.mark.parametrize(
+        "reader, changes, error, message",
+        [
+            (read_manifest, {"num_classes": 0, "class_names": []}, ValidationError, "num_classes must be >= 1, got 0"),
+            (read_manifest, {"num_classes": 3}, ValidationError, "class_names lists 2 names for 3 classes"),
+            (read_manifest, {"classifiers": []}, ValidationError, "classifiers must list at least one classifier"),
+            (read_generator_spec, {"num_classes": 0}, ConfigError, "num_classes must be in [1, 1000], got 0"),
+            (read_generator_spec, {"num_classes": 10**9}, ConfigError, "num_classes must be in [1, 1000], got 1000000000"),
+            (
+                read_generator_spec,
+                {"num_samples": 10**12},
+                ConfigError,
+                "num_samples must be in [1, 1000000], got 1000000000000",
+            ),
+            (read_generator_spec, {"seed": 2**64}, ConfigError, f"seed must be in [0, 2**64), got {2**64}"),
+            (read_generator_spec, {"accuracy": 1.5}, ConfigError, "classifiers[0].accuracy must be in (0, 1], got 1.5"),
+            (read_generator_spec, {"sharpness": -1}, ConfigError, "classifiers[0].sharpness must be >= 0, got -1.0"),
+            (read_report, {"nll": -1.0}, ValidationError, "nll must be a non-negative real, got -1.0"),
+            (read_report, {"accuracy_percent": 101}, ValidationError, "accuracy_percent out of [0, 100]: 101.0"),
+            (read_report, {"sample_count": -1}, ValidationError, "sample_count must be non-negative"),
+            (
+                read_report,
+                {"per_class_accuracy": [100.0]},
+                DimensionError,
+                "per_class_accuracy length must match the confusion matrix",
+            ),
+            (read_report, {"confusion": []}, DimensionError, "confusion matrix must be square, got shape (0,)"),
+            (read_weights, {"weights": [-1.0, 2.0]}, DegenerateWeightsError, "weights must be non-negative"),
+            (read_weights, {"weights": [0.0, 0.0]}, DegenerateWeightsError, "weights must not sum to zero"),
+            (read_weights, {"weights": [1e308, 1e308]}, DegenerateWeightsError, "weights must have a finite sum"),
+            (read_weights, {"full_data_nll": -1.0}, FormatError, "full_data_nll must be non-negative, got -1.0"),
+            (
+                read_ga_config,
+                {"population_size": 10**30},
+                ConfigError,
+                f"bad GA config: population_size must be in [2, 100000], got {10**30}",
+            ),
+            (
+                read_ga_config,
+                {"population_size": 10**12},
+                ConfigError,
+                f"bad GA config: population_size must be in [2, 100000], got {10**12}",
+            ),
+            (
+                read_ga_config,
+                {"generations": 10**30},
+                ConfigError,
+                f"bad GA config: generations must be in [1, 100000], got {10**30}",
+            ),
+            (
+                read_ga_config,
+                {"elite_fraction": 10**400},
+                ConfigError,
+                f"bad GA config: elite_fraction must be in (0, 1], got {10**400}",
+            ),
+        ],
+    )
+    def test_range_and_limit_errors_name_file_and_key(self, tmp_path, reader, changes, error, message):
+        # Nothing here builds a bundle or runs a search: each reader only
+        # constructs the checked type, so an oversized count allocates nothing.
+        valid = {
+            read_manifest: json.loads(self._manifest(tmp_path, 2).read_text(encoding="utf-8")),
+            read_generator_spec: json.loads(self._spec(tmp_path).read_text(encoding="utf-8")),
+            read_report: json.loads(self._report(tmp_path).read_text(encoding="utf-8")),
+            read_weights: {"weights": [1.0, 0.5], "full_data_nll": 0.3},
+            read_ga_config: {},
+        }[reader]
+        for key in ("accuracy", "sharpness"):
+            if key in changes:
+                valid["classifiers"][0][key] = changes.pop(key)
+        valid.update(changes)
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(valid), encoding="utf-8")
+        with pytest.raises(error) as info:
+            reader(p)
+        assert type(info.value) is error
+        assert str(info.value) == f"{p}: {message}"
+
+    def test_count_limits_are_inclusive(self, tmp_path):
+        p = tmp_path / "ga.json"
+        p.write_text(json.dumps({"population_size": MAX_POPULATION_SIZE, "generations": MAX_GENERATIONS}))
+        assert read_ga_config(p).population_size == MAX_POPULATION_SIZE
+        spec = read_generator_spec(self._spec(tmp_path, num_classes=MAX_NUM_CLASSES, num_samples=MAX_NUM_SAMPLES))
+        assert (spec.num_classes, spec.num_samples) == (MAX_NUM_CLASSES, MAX_NUM_SAMPLES)
+
+    @pytest.mark.parametrize("reader", [read_manifest, read_generator_spec, read_report, read_weights, read_ga_config])
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000], ids=["long-integer", "deep-nesting"])
+    def test_json_the_decoder_refuses_is_format_error(self, tmp_path, reader, text):
+        p = tmp_path / "in.json"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: invalid JSON: "):
+            reader(p)
