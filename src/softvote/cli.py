@@ -69,7 +69,7 @@ def _load_for_subset(
         weights, _ = ingest.read_weights(weights_path)
         if weights.shape[0] != len(manifest.classifiers):
             raise DimensionError(
-                f"weights file has {weights.shape[0]} weights but the manifest lists "
+                f"{weights_path}: has {weights.shape[0]} weights but {manifest_path} lists "
                 f"{len(manifest.classifiers)} classifiers"
             )
     inputs = ingest.load_ensemble(manifest, Path(manifest_path).parent)

@@ -38,11 +38,10 @@ into an (N, S) matrix and scores the whole population against it with one
 blocked kernel, :func:`metrics._population_nll`, on the calling thread.
 
 ``run_ga`` holds the population as one (P, N) float64 gene array and
-breeds each next generation into a second, preallocated one; ``Chromosome``
-objects are built only for an ``on_generation`` observer.
-:func:`init_population`, :func:`select_parents`, :func:`mutate_parents`
-and :func:`crossover_fill` are the same row operations over lists of
-``Chromosome``.
+breeds each next generation into a second, preallocated one. The steps
+above run only on those arrays. ``Chromosome`` is the observer's view:
+``run_ga`` builds ``Chromosome`` copies of the rows only for the
+:class:`GASnapshot` it passes to an ``on_generation`` callback.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,7 +62,6 @@ from .errors import (
     EmptyInputError,
     ValidationError,
 )
-from .metrics import DEGENERATE_GENE_SUM  # noqa: F401  (kept as ga's public name)
 from .rng import check_seed, make_rng
 
 # Upper limits on the search's counts. A run holds two (population_size, N)
@@ -182,37 +180,6 @@ def _initial_genes(n_classifiers: int, config: GAConfig, rng: np.random.Generato
     return genes
 
 
-def init_population(
-    n_classifiers: int, config: GAConfig, rng: np.random.Generator
-) -> list[Chromosome]:
-    """Uniform random genes, except chromosome 0 is the all-0.5 baseline."""
-    return [Chromosome(row) for row in _initial_genes(n_classifiers, config, rng)]
-
-
-def fitness(
-    chromosome: Chromosome,
-    inputs: EnsembleInputs,
-    sample_indices: Sequence[int] | np.ndarray,
-) -> float:
-    """Mean NLL of this chromosome's weighted fusion over the given samples.
-
-    Lower is better; a degenerate all-zero chromosome scores +inf.
-    """
-    if chromosome.genes.shape[0] != inputs.n_classifiers:
-        raise DimensionError(
-            f"{chromosome.genes.shape[0]} genes for {inputs.n_classifiers} classifiers"
-        )
-    idx = np.asarray(sample_indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
-        raise EmptyInputError("sample_indices must be a non-empty 1-D index list")
-    if idx.min() < 0 or idx.max() >= inputs.num_samples:
-        raise ValidationError(
-            f"sample index out of range [0, {inputs.num_samples})"
-        )
-    true_probs = metrics._true_class_probs(inputs)[:, idx]
-    return float(metrics._population_nll(chromosome.genes[None, :], true_probs)[0])
-
-
 def draw_fitness_sample(
     num_samples: int, fraction: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -249,25 +216,7 @@ def _parent_rows(
     return np.concatenate((elite, extras))
 
 
-def select_parents(
-    population: Sequence[Chromosome], config: GAConfig, rng: np.random.Generator
-) -> list[Chromosome]:
-    """Elites (best fitness, ties to the lower index) plus random extras.
-
-    Returns floor(elite_fraction * P) elites, best first, followed by
-    floor(extra_parent_fraction * (P - elites)) chromosomes sampled
-    uniformly without replacement from the rest.
-    """
-    pop = list(population)
-    if len(pop) < 2:
-        raise ConfigError("cannot select parents from fewer than 2 chromosomes")
-    if any(ch.fitness is None for ch in pop):
-        raise ValidationError("every chromosome needs a fitness before selection")
-    rows = _parent_rows(np.array([ch.fitness for ch in pop], dtype=np.float64), config, rng)
-    return [pop[i] for i in rows.tolist()]
-
-
-def _mutate_rows(rows: Sequence[np.ndarray], rate: float, rng: np.random.Generator) -> list[bool]:
+def _mutate_rows(rows: np.ndarray, rate: float, rng: np.random.Generator) -> list[bool]:
     """Redraw one gene of each row, in place, with probability ``rate``.
 
     Returns which rows were mutated.
@@ -282,22 +231,6 @@ def _mutate_rows(rows: Sequence[np.ndarray], rate: float, rng: np.random.Generat
     return mutated
 
 
-def mutate_parents(
-    parents: Sequence[Chromosome], rate: float, rng: np.random.Generator
-) -> list[Chromosome]:
-    """Each parent mutates with probability ``rate``: one gene is redrawn.
-
-    Unselected parents pass through as the same objects. A mutated parent
-    is a fresh chromosome with its cached fitness dropped.
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"mutation rate must be in [0, 1], got {rate!r}")
-    parents = list(parents)
-    rows = [ch.genes.copy() for ch in parents]
-    mutated = _mutate_rows(rows, rate, rng)
-    return [Chromosome(row) if hit else ch for ch, row, hit in zip(parents, rows, mutated)]
-
-
 def _breed(genes: np.ndarray, n_parents: int, rng: np.random.Generator) -> None:
     """Fill rows ``n_parents:`` of ``genes`` with crossovers of the rows before."""
     if n_parents < 2:
@@ -307,27 +240,6 @@ def _breed(genes: np.ndarray, n_parents: int, rng: np.random.Generator) -> None:
         a, b = rng.choice(n_parents, size=2, replace=False)
         take_a = rng.random(n_genes) < 0.5
         genes[k] = np.where(take_a, genes[a], genes[b])
-
-
-def crossover_fill(
-    parents: Sequence[Chromosome], target_size: int, rng: np.random.Generator
-) -> list[Chromosome]:
-    """Parents (unchanged, in order) plus uniform-crossover children.
-
-    Each child draws two distinct parents uniformly at random and takes
-    every gene from either one with probability 1/2.
-    """
-    parents = list(parents)
-    if len(parents) < 2:
-        raise BreedingError("crossover needs at least 2 parents")
-    if target_size < len(parents):
-        raise ValidationError(
-            f"target_size {target_size} is smaller than the parent count {len(parents)}"
-        )
-    genes = np.empty((target_size, parents[0].genes.shape[0]))
-    genes[: len(parents)] = [ch.genes for ch in parents]
-    _breed(genes, len(parents), rng)
-    return parents + [Chromosome(row) for row in genes[len(parents) :]]
 
 
 def _snapshot(

@@ -44,9 +44,7 @@ class ClassifierProfile:
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
-            raise ConfigError(
-                f"classifier profile name must be a non-empty string, got {self.name!r}"
-            )
+            raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
         for name in ("accuracy", "sharpness"):
             v = getattr(self, name)
             if not isinstance(v, Real) or isinstance(v, bool):
@@ -73,13 +71,13 @@ class GeneratorSpec:
             if not 1 <= v <= high:
                 raise ConfigError(f"{name} must be in [1, {high}], got {v}")
         if not self.profiles:
-            raise ConfigError("need at least one classifier profile")
+            raise ConfigError("classifiers must list at least one profile")
         bad = next((p for p in self.profiles if not isinstance(p, ClassifierProfile)), None)
         if bad is not None:
             raise ConfigError(f"profiles must be ClassifierProfile values, got {bad!r}")
         names = [p.name for p in self.profiles]
         if len(set(names)) != len(names):
-            raise ConfigError("classifier profile names must be unique")
+            raise ConfigError("classifiers must have unique names")
         check_seed(self.seed)
 
 

@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from softvote import (
-    Chromosome,
     ClassifierProfile,
     EvaluationReport,
     GAConfig,
@@ -33,7 +32,6 @@ from softvote import (
     read_report,
     read_weights,
     run_ga,
-    select_parents,
     write_ensemble,
     write_manifest,
     write_predictions,
@@ -170,16 +168,6 @@ def test_metric_identities():
 
 @criterion(5, "search mechanics: 14 parents, stable population, elitism, threads")
 def test_search_mechanics():
-    # 10 elites + 4 random extras from a population of 50
-    population = []
-    for value in range(50):
-        ch = Chromosome([0.5, 0.5])
-        ch.fitness = float(value)
-        population.append(ch)
-    parents = select_parents(population, GAConfig(), make_rng(0))
-    assert len(parents) == 14
-    assert parents[:10] == population[:10]
-
     spec = GeneratorSpec(
         10,
         600,
@@ -194,31 +182,37 @@ def test_search_mechanics():
     observed = []
 
     def observe(snapshot):
-        best = min(
-            range(len(snapshot.population)),
-            key=lambda i: (snapshot.population[i].fitness, i),
-        )
+        population, parents = snapshot.population, snapshot.parents
+        ranked = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
+        elites = [population[i] for i in ranked[:10]]
+        non_elites = [population[i] for i in ranked[10:]]
+        extras = parents[10:]
         observed.append(
             (
-                len(snapshot.population),
+                len(population),
                 len(snapshot.next_population),
+                len(parents),
+                # 10 elites, best first: an unmutated one is its population entry
+                parents[0] is elites[0]
+                and all(p is e for p, e in zip(parents[:10], elites) if p.fitness is not None),
+                # 4 extras: distinct, and an unmutated one is a non-elite entry
+                len({id(p) for p in extras}) == len(extras)
+                and all(any(p is q for q in non_elites) for p in extras if p.fitness is not None),
                 all(
                     np.all(ch.genes >= 0.0) and np.all(ch.genes <= 1.0)
                     for ch in snapshot.next_population
                 ),
-                bool(
-                    np.array_equal(
-                        snapshot.population[best].genes,
-                        snapshot.next_population[0].genes,
-                    )
-                ),
+                bool(np.array_equal(elites[0].genes, snapshot.next_population[0].genes)),
             )
         )
 
     config = GAConfig(seed=10)
     single = run_ga(inputs, config, threads=1, on_generation=observe)
-    for size, next_size, in_bounds, elite_survives in observed:
+    assert len(observed) == config.generations
+    for size, next_size, n_parents, elites_ok, extras_ok, in_bounds, elite_survives in observed:
         assert size == 50 and next_size == 50
+        assert n_parents == 14
+        assert elites_ok and extras_ok
         assert in_bounds
         assert elite_survives
 

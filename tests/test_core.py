@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from softvote import (
     AlignmentError,
-    Chromosome,
     DegenerateWeightsError,
     DimensionError,
     EnsembleInputs,
@@ -19,7 +18,6 @@ from softvote import (
     as_weights,
     brute_force_weights,
     evaluate,
-    fitness,
     fuse_majority,
     fuse_weighted,
     run_ga,
@@ -320,7 +318,6 @@ class TestStackedTensorIsNeverBuilt:
     def test_search_fitness_and_oracle(self):
         inputs = self._inputs()
         run_ga(inputs, GAConfig(generations=2, seed=3))
-        fitness(Chromosome([0.5, 0.2, 0.9]), inputs, np.arange(10))
         brute_force_weights(inputs, grid_step=0.25)
         assert "tensor" not in vars(inputs)
 

@@ -9,25 +9,21 @@ from softvote import (
     Chromosome,
     ClassifierProfile,
     ConfigError,
-    DimensionError,
     EmptyInputError,
     GAConfig,
     GeneratorSpec,
     ValidationError,
     brute_force_weights,
-    crossover_fill,
     draw_fitness_sample,
-    fitness,
     fuse_majority,
     fuse_weighted,
     generate,
-    init_population,
     make_rng,
-    mutate_parents,
+    metrics,
     nll,
     run_ga,
-    select_parents,
 )
+from softvote.ga import _breed, _initial_genes, _mutate_rows, _parent_rows
 
 from conftest import random_ensemble
 
@@ -102,53 +98,48 @@ class TestChromosome:
         assert not ch.genes.flags.writeable
 
 
-class TestInitPopulation:
+class TestInitialGenes:
     def test_shape_and_baseline(self):
-        pop = init_population(8, GAConfig(seed=0), make_rng(0))
-        assert len(pop) == 50
-        assert all(ch.genes.shape == (8,) for ch in pop)
-        np.testing.assert_array_equal(pop[0].genes, np.full(8, 0.5))
-        for ch in pop:
-            assert np.all(ch.genes >= 0.0) and np.all(ch.genes <= 1.0)
+        genes = _initial_genes(8, GAConfig(seed=0), make_rng(0))
+        assert genes.shape == (50, 8)
+        np.testing.assert_array_equal(genes[0], np.full(8, 0.5))
+        assert np.all(genes >= 0.0) and np.all(genes <= 1.0)
 
-    def test_same_seed_same_population(self):
-        a = init_population(3, GAConfig(), make_rng(7))
-        b = init_population(3, GAConfig(), make_rng(7))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.genes, y.genes)
+    def test_same_seed_same_genes(self):
+        a = _initial_genes(3, GAConfig(), make_rng(7))
+        b = _initial_genes(3, GAConfig(), make_rng(7))
+        assert a.tobytes() == b.tobytes()
 
     def test_needs_a_classifier(self):
         with pytest.raises(ValidationError):
-            init_population(0, GAConfig(), make_rng(0))
+            _initial_genes(0, GAConfig(), make_rng(0))
+
+    def test_one_draw_of_the_whole_array(self):
+        # Rows 1.. are the stream's first random((P, N)) draw, and nothing else is drawn.
+        rng = make_rng(4)
+        genes = _initial_genes(3, GAConfig(), rng)
+        replay = make_rng(4)
+        np.testing.assert_array_equal(genes[1:], replay.random((50, 3))[1:])
+        assert rng.random() == replay.random()
 
 
-class TestFitness:
+def _row_nll(genes, inputs):
+    """One gene row's fitness on every sample, as run_ga scores a population."""
+    genes = np.array([genes], dtype=np.float64)
+    return metrics._population_nll(genes, metrics._true_class_probs(inputs))[0]
+
+
+class TestPopulationFitness:
     def test_equal_weights_match_majority_nll(self):
         inputs = random_ensemble(np.random.default_rng(0), 4, 40, 5)
-        value = fitness(Chromosome(np.full(4, 0.5)), inputs, np.arange(40))
-        assert value == nll(fuse_majority(inputs), inputs.label_array)
+        assert _row_nll(np.full(4, 0.5), inputs) == nll(fuse_majority(inputs), inputs.label_array)
+
+    def test_perfect_classifier_scores_zero(self, one_hot_pair):
+        assert _row_nll([1.0, 0.0], one_hot_pair) == 0.0
 
     def test_all_zero_genes_score_infinity(self):
         inputs = random_ensemble(np.random.default_rng(1), 2, 5, 3)
-        assert fitness(Chromosome([0.0, 0.0]), inputs, [0, 1]) == math.inf
-
-    def test_perfect_classifier_scores_zero(self, one_hot_pair):
-        assert fitness(Chromosome([1.0, 0.0]), one_hot_pair, np.arange(4)) == 0.0
-
-    def test_out_of_range_index(self):
-        inputs = random_ensemble(np.random.default_rng(2), 2, 5, 3)
-        with pytest.raises(ValidationError):
-            fitness(Chromosome([0.5, 0.5]), inputs, [0, 99])
-
-    def test_empty_indices(self):
-        inputs = random_ensemble(np.random.default_rng(3), 2, 5, 3)
-        with pytest.raises(EmptyInputError):
-            fitness(Chromosome([0.5, 0.5]), inputs, [])
-
-    def test_gene_count_mismatch(self):
-        inputs = random_ensemble(np.random.default_rng(4), 2, 5, 3)
-        with pytest.raises(DimensionError):
-            fitness(Chromosome([0.5, 0.5, 0.5]), inputs, [0])
+        assert _row_nll([0.0, 0.0], inputs) == math.inf
 
 
 class TestDrawFitnessSample:
@@ -179,113 +170,110 @@ class TestDrawFitnessSample:
             draw_fitness_sample(10, 0.0, make_rng(0))
 
 
-def _scored_population(fitness_values):
-    pop = []
-    for v in fitness_values:
-        ch = Chromosome([0.5])
-        ch.fitness = float(v)
-        pop.append(ch)
-    return pop
-
-
-class TestSelectParents:
+class TestParentRows:
     def test_fifty_gives_fourteen_parents(self):
-        pop = _scored_population(range(50))
-        parents = select_parents(pop, GAConfig(), make_rng(0))
-        assert len(parents) == 14
-        assert parents[:10] == pop[:10]  # ten elites, best first
-        assert all(p in pop[10:] for p in parents[10:])
+        rows = _parent_rows(np.arange(50.0), GAConfig(), make_rng(0))
+        assert rows.shape == (14,)
+        assert rows[:10].tolist() == list(range(10))  # ten elites, best first
+        assert all(10 <= r < 50 for r in rows[10:].tolist())
 
     def test_elites_sorted_best_first(self):
-        pop = _scored_population([5, 1, 3, 2, 4, 9, 8, 7, 6, 0])
-        parents = select_parents(pop, GAConfig(elite_fraction=0.3), make_rng(0))
-        assert [p.fitness for p in parents[:3]] == [0, 1, 2]
+        values = np.array([5, 1, 3, 2, 4, 9, 8, 7, 6, 0], dtype=np.float64)
+        rows = _parent_rows(values, GAConfig(elite_fraction=0.3), make_rng(0))
+        assert values[rows[:3]].tolist() == [0, 1, 2]
 
     def test_equal_fitness_ties_break_by_index(self):
-        pop = _scored_population([1.0] * 50)
-        parents = select_parents(pop, GAConfig(), make_rng(0))
-        assert parents[:10] == pop[:10]
+        rows = _parent_rows(np.ones(50), GAConfig(), make_rng(0))
+        assert rows[:10].tolist() == list(range(10))
 
-    def test_requires_fitness(self):
-        pop = [Chromosome([0.5]), Chromosome([0.5])]
-        with pytest.raises(ValidationError):
-            select_parents(pop, GAConfig(elite_fraction=0.5), make_rng(0))
+    def test_extras_are_distinct_non_elites(self):
+        values = make_rng(5).permutation(50).astype(np.float64)
+        elites = set(np.argsort(values)[:10].tolist())
+        rng = make_rng(6)
+        for _ in range(200):
+            extras = _parent_rows(values, GAConfig(), rng)[10:].tolist()
+            assert len(extras) == len(set(extras)) == 4
+            assert not elites & set(extras)
 
-    def test_tiny_population_rejected(self):
+    def test_no_elite_rejected(self):
         with pytest.raises(ConfigError):
-            select_parents(_scored_population([1.0]), GAConfig(), make_rng(0))
+            _parent_rows(np.array([1.0]), GAConfig(), make_rng(0))
+
+    def test_no_extras_draws_nothing(self):
+        # 0.1 * (10 - 2) non-elites keeps no extra, and the stream is left where it was.
+        rng = make_rng(7)
+        rows = _parent_rows(np.arange(10.0)[::-1].copy(), GAConfig(), rng)
+        assert rows.tolist() == [9, 8]
+        assert rng.random() == make_rng(7).random()
 
 
-class TestMutateParents:
+class TestMutateRows:
     def test_zero_rate_is_identity(self):
-        parents = [Chromosome([0.1, 0.9]), Chromosome([0.4, 0.6])]
-        out = mutate_parents(parents, 0.0, make_rng(0))
-        assert out[0] is parents[0] and out[1] is parents[1]
+        rows = np.array([[0.1, 0.9], [0.4, 0.6]])
+        before = rows.copy()
+        assert _mutate_rows(rows, 0.0, make_rng(0)) == [False, False]
+        np.testing.assert_array_equal(rows, before)
 
-    def test_rate_one_redraws_single_gene(self):
-        parents = [Chromosome([0.25]) for _ in range(20)]
-        out = mutate_parents(parents, 1.0, make_rng(1))
-        assert all(o is not p for o, p in zip(out, parents))
-        assert all(o.fitness is None for o in out)
-
-    def test_mutation_touches_at_most_one_gene(self):
-        rng = make_rng(2)
-        parents = [Chromosome(np.full(8, 0.5)) for _ in range(200)]
-        out = mutate_parents(parents, 1.0, rng)
-        for o in out:
-            assert int((o.genes != 0.5).sum()) <= 1
+    def test_rate_one_redraws_exactly_one_gene_in_place(self):
+        rows = np.full((200, 8), 0.5)
+        assert _mutate_rows(rows, 1.0, make_rng(2)) == [True] * 200
+        assert (rows != 0.5).sum(axis=1).tolist() == [1] * 200
+        assert np.all(rows >= 0.0) and np.all(rows <= 1.0)
 
     def test_monte_carlo_mutation_count(self):
-        # 14 parents at rate 0.05: binomial mean 0.7 per call.
+        # 14 rows at rate 0.05: binomial mean 0.7 per call.
         rng = make_rng(3)
-        parents = [Chromosome(np.full(8, 0.5)) for _ in range(14)]
-        total = 0
+        rows = np.full((14, 8), 0.5)
         runs = 10_000
-        for _ in range(runs):
-            out = mutate_parents(parents, 0.05, rng)
-            total += sum(o is not p for o, p in zip(out, parents))
+        total = sum(sum(_mutate_rows(rows, 0.05, rng)) for _ in range(runs))
         assert abs(total / runs - 0.7) <= 0.05
 
-    def test_bad_rate(self):
-        with pytest.raises(ConfigError):
-            mutate_parents([Chromosome([0.5])], 1.5, make_rng(0))
+    def test_mutation_touches_at_most_one_gene(self):
+        # At rate 1/2 the flags name exactly the rows that changed, by one gene each.
+        rows = np.full((200, 8), 0.5)
+        mutated = _mutate_rows(rows, 0.5, make_rng(4))
+        changed = (rows != 0.5).sum(axis=1)
+        assert changed.tolist() == [int(hit) for hit in mutated]
+        assert 0 < sum(mutated) < 200
 
 
-class TestCrossoverFill:
+def _bred(parents, size, seed):
+    """``size`` rows: ``parents`` then children bred from them; unbred rows stay NaN."""
+    genes = np.full((size, len(parents[0])), np.nan)
+    genes[: len(parents)] = parents
+    _breed(genes, len(parents), make_rng(seed))
+    return genes
+
+
+class TestBreed:
     def test_needs_two_parents(self):
         with pytest.raises(BreedingError):
-            crossover_fill([Chromosome([0.5])], 5, make_rng(0))
+            _bred([[0.5]], 5, 0)
 
-    def test_target_below_parent_count(self):
-        parents = [Chromosome([0.1]), Chromosome([0.9])]
-        with pytest.raises(ValidationError):
-            crossover_fill(parents, 1, make_rng(0))
+    def test_no_children_when_full(self):
+        np.testing.assert_array_equal(_bred([[0.1], [0.9]], 2, 0), [[0.1], [0.9]])
 
-    def test_no_children_when_target_equals_parents(self):
-        parents = [Chromosome([0.1]), Chromosome([0.9])]
-        out = crossover_fill(parents, 2, make_rng(0))
-        assert out == parents
-
-    def test_parents_lead_unchanged(self):
-        parents = [Chromosome([0.1, 0.2]), Chromosome([0.8, 0.9])]
-        out = crossover_fill(parents, 6, make_rng(0))
-        assert out[0] is parents[0] and out[1] is parents[1]
-        assert len(out) == 6
+    def test_parent_rows_unchanged(self):
+        genes = _bred([[0.1, 0.2], [0.8, 0.9]], 6, 0)
+        np.testing.assert_array_equal(genes[:2], [[0.1, 0.2], [0.8, 0.9]])
+        assert not np.isnan(genes).any()
 
     def test_identical_parents_breed_identical_children(self):
-        parents = [Chromosome([0.3, 0.7]), Chromosome([0.3, 0.7])]
-        out = crossover_fill(parents, 10, make_rng(0))
-        for child in out[2:]:
-            np.testing.assert_array_equal(child.genes, [0.3, 0.7])
+        genes = _bred([[0.3, 0.7], [0.3, 0.7]], 10, 0)
+        np.testing.assert_array_equal(genes[2:], np.tile([0.3, 0.7], (8, 1)))
 
     def test_monte_carlo_gene_mixing(self):
         # zeros x ones parents: every child gene is a Bernoulli(1/2) pick.
-        parents = [Chromosome(np.zeros(8)), Chromosome(np.ones(8))]
-        out = crossover_fill(parents, 10_002, make_rng(1))
-        children = np.stack([ch.genes for ch in out[2:]])
+        children = _bred([np.zeros(8), np.ones(8)], 10_002, 1)[2:]
         assert set(np.unique(children).tolist()) <= {0.0, 1.0}
         per_gene = children.mean(axis=0)
         assert np.all(per_gene >= 0.48) and np.all(per_gene <= 0.52)
+
+    def test_children_take_each_gene_from_a_parent(self):
+        parents = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+        children = _bred(parents, 500, 2)[3:]
+        for j, column in enumerate(children.T):
+            assert set(column.tolist()) == {row[j] for row in parents}
 
 
 def _two_classifier_inputs(seed):
@@ -426,32 +414,51 @@ class TestRunGA:
 
         _assert_same_result(run_ga(inputs, config, on_generation=vandalise), run_ga(inputs, config))
 
-    def test_one_generation_by_hand_through_the_public_helpers(self):
+    def test_one_generation_replays_the_documented_draw_order(self):
+        # Every draw of the module docstring's order, made by hand on a
+        # fresh stream, must rebuild the first snapshot exactly.
         inputs = random_ensemble(np.random.default_rng(8), 5, 300, 6)
         config = GAConfig(seed=13, generations=1, mutation_rate=0.5, extra_parent_fraction=0.3)
         snapshots = []
         run_ga(inputs, config, on_generation=snapshots.append)
+        p, n, s = config.population_size, inputs.n_classifiers, inputs.num_samples
+        n_elite = math.floor(config.elite_fraction * p)
+        n_extra = math.floor(config.extra_parent_fraction * (p - n_elite))
 
         rng = make_rng(config.seed)
-        population = init_population(inputs.n_classifiers, config, rng)
-        idx = draw_fitness_sample(inputs.num_samples, config.fitness_sample_fraction, rng)
-        for ch in population:
-            ch.fitness = fitness(ch, inputs, idx)
-        parents = select_parents(population, config, rng)
-        parents = [parents[0], *mutate_parents(parents[1:], config.mutation_rate, rng)]
-        next_population = crossover_fill(parents, config.population_size, rng)
+        genes = rng.random((p, n))
+        genes[0] = 0.5
+        idx = np.sort(rng.choice(s, math.floor(config.fitness_sample_fraction * s), replace=False))
+        values = [nll(fuse_weighted(inputs, row)[idx], inputs.label_array[idx]) for row in genes]
+        ranked = sorted(range(p), key=lambda i: (values[i], i))
+        non_elites = sorted(ranked[n_elite:])
+        extras = rng.choice(p - n_elite, n_extra, replace=False)
+        parent_rows = ranked[:n_elite] + [non_elites[j] for j in extras.tolist()]
+        next_genes = [genes[r].copy() for r in parent_rows]
+        mutated = [False]
+        for row in next_genes[1:]:
+            mutated.append(bool(rng.random() < config.mutation_rate))
+            if mutated[-1]:
+                value = rng.random()
+                row[rng.integers(n)] = value
+        n_parents = len(parent_rows)
+        for _ in range(n_parents, p):
+            a, b = rng.choice(n_parents, 2, replace=False)
+            next_genes.append(np.where(rng.random(n) < 0.5, next_genes[a], next_genes[b]))
 
-        def genes(chromosomes):
-            return [ch.genes.tobytes() for ch in chromosomes]
+        def as_bytes(rows):
+            return [np.asarray(row, dtype=np.float64).tobytes() for row in rows]
 
         (snap,) = snapshots
         assert snap.sample_indices.tobytes() == idx.tobytes()
-        assert genes(snap.population) == genes(population)
-        assert [ch.fitness for ch in snap.population] == [ch.fitness for ch in population]
-        assert genes(snap.parents) == genes(parents)
-        assert [ch.fitness for ch in snap.parents] == [ch.fitness for ch in parents]
-        assert None in [ch.fitness for ch in parents]  # some parent was mutated
-        assert genes(snap.next_population) == genes(next_population)
+        assert as_bytes(ch.genes for ch in snap.population) == as_bytes(genes)
+        assert [ch.fitness for ch in snap.population] == values
+        assert as_bytes(ch.genes for ch in snap.parents) == as_bytes(next_genes[:n_parents])
+        assert [ch.fitness for ch in snap.parents] == [
+            None if hit else values[r] for r, hit in zip(parent_rows, mutated)
+        ]
+        assert any(mutated) and not all(mutated)
+        assert as_bytes(ch.genes for ch in snap.next_population) == as_bytes(next_genes)
 
     def test_requires_two_samples(self):
         inputs = random_ensemble(np.random.default_rng(6), 2, 1, 3)

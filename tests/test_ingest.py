@@ -646,6 +646,19 @@ class TestTypedJsonFields:
                 "num_samples must be in [1, 1000000], got 1000000000000",
             ),
             (read_generator_spec, {"seed": 2**64}, ConfigError, f"seed must be in [0, 2**64), got {2**64}"),
+            (read_generator_spec, {"classifiers": []}, ConfigError, "classifiers must list at least one profile"),
+            (
+                read_generator_spec,
+                {"classifiers": [{"name": "", "accuracy": 0.9, "sharpness": 2.0}]},
+                ConfigError,
+                "classifiers[0].name must be a non-empty string, got ''",
+            ),
+            (
+                read_generator_spec,
+                {"classifiers": [{"name": "a", "accuracy": 0.9, "sharpness": 2.0}] * 2},
+                ConfigError,
+                "classifiers must have unique names",
+            ),
             (read_generator_spec, {"accuracy": 1.5}, ConfigError, "classifiers[0].accuracy must be in (0, 1], got 1.5"),
             (read_generator_spec, {"sharpness": -1}, ConfigError, "classifiers[0].sharpness must be >= 0, got -1.0"),
             (read_report, {"nll": -1.0}, ValidationError, "nll must be a non-negative real, got -1.0"),

@@ -51,9 +51,9 @@ class TestGeneratorSpec:
             (("a", True, 2.0), "accuracy must be a real number, got True"),
             (("a", 0.9, None), "sharpness must be a real number, got None"),
             (("a", 0.9, 1j), r"sharpness must be a real number, got 1j"),
-            ((None, 0.9, 2.0), "profile name must be a non-empty string, got None"),
-            ((7, 0.9, 2.0), "profile name must be a non-empty string, got 7"),
-            (("", 0.9, 2.0), "profile name must be a non-empty string, got ''"),
+            ((None, 0.9, 2.0), "^name must be a non-empty string, got None"),
+            ((7, 0.9, 2.0), "^name must be a non-empty string, got 7"),
+            (("", 0.9, 2.0), "^name must be a non-empty string, got ''"),
         ],
     )
     def test_profile_rejects_wrong_types(self, args, message):
