@@ -46,9 +46,5 @@ class SplitError(ValidationError):
     """A train/held-out split would leave one side empty."""
 
 
-class BreedingError(ValidationError):
-    """Crossover was asked to breed from fewer than two parents."""
-
-
 class OracleScopeError(ValidationError):
     """Exhaustive weight search requested outside its tractable range."""

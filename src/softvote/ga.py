@@ -39,9 +39,11 @@ blocked kernel, :func:`metrics._population_nll`, on the calling thread.
 
 ``run_ga`` holds the population as one (P, N) float64 gene array and
 breeds each next generation into a second, preallocated one. The steps
-above run only on those arrays. ``Chromosome`` is the observer's view:
-``run_ga`` builds ``Chromosome`` copies of the rows only for the
-:class:`GASnapshot` it passes to an ``on_generation`` callback.
+above run only on those arrays. An ``on_generation`` callback sees each
+generation as a :class:`GASnapshot` of read-only arrays: the scored
+population is ``genes`` with its ``fitness``, parent k is row
+``parent_rows[k]`` of it, and ``next_genes`` holds the K parents, mutated
+where ``mutated`` says so, followed by the children.
 """
 
 from __future__ import annotations
@@ -55,13 +57,7 @@ import numpy as np
 
 from . import metrics
 from .core import EnsembleInputs, _frozen
-from .errors import (
-    BreedingError,
-    ConfigError,
-    DimensionError,
-    EmptyInputError,
-    ValidationError,
-)
+from .errors import ConfigError, EmptyInputError, ValidationError
 from .rng import check_seed, make_rng
 
 # Upper limits on the search's counts. A run holds two (population_size, N)
@@ -110,6 +106,11 @@ class GAConfig:
             raise ConfigError(
                 "elite_fraction * population_size must keep at least one elite"
             )
+        if sum(_parent_counts(self, self.population_size)) < 2:
+            raise ConfigError(
+                f"population_size {self.population_size} with elite_fraction {self.elite_fraction} and "
+                f"extra_parent_fraction {self.extra_parent_fraction} selects 1 parent; crossover needs at least 2"
+            )
         check_seed(self.seed)
 
 
@@ -118,21 +119,6 @@ def _check_genes(genes: np.ndarray) -> None:
     # NaN fails both comparisons.
     if not (genes.min() >= 0.0 and genes.max() <= 1.0):
         raise ValidationError("genes must lie in [0, 1]")
-
-
-@dataclass(eq=False)
-class Chromosome:
-    """Candidate weight vector with its most recent fitness, if scored."""
-
-    genes: np.ndarray
-    fitness: float | None = None
-
-    def __post_init__(self) -> None:
-        genes = np.array(self.genes, dtype=np.float64)
-        if genes.ndim != 1 or genes.size == 0:
-            raise DimensionError("genes must be a non-empty 1-D vector")
-        _check_genes(genes)
-        self.genes = _frozen(genes)
 
 
 class GenerationStats(NamedTuple):
@@ -145,19 +131,34 @@ class GenerationStats(NamedTuple):
 class GASnapshot:
     """Per-generation observation passed to ``run_ga``'s callback.
 
-    The chromosomes are fresh copies built for this callback from the
-    search's gene arrays, so nothing an observer does to them reaches the
-    search. ``population`` carries this generation's fitness values.
-    Parents that were not mutated are the same objects as their
-    ``population`` entries; mutated parents and children have no fitness.
-    ``next_population`` is ``parents`` followed by the children.
+    With P chromosomes, N classifiers and K parents:
+
+    * ``genes`` (P, N) and ``fitness`` (P,): the population, scored on
+      the samples ``sample_indices``;
+    * ``parent_rows`` (K,): the parents' rows of ``genes``, the elites
+      best first, then the extras;
+    * ``mutated`` (K,) bool: which parents had a gene redrawn; never the
+      first, the generation's best;
+    * ``next_genes`` (P, N): the next population, the parents in order
+      then the children. An unmutated parent k is
+      ``genes[parent_rows[k]]``; the children are ``next_genes[K:]``.
+
+    The arrays are made read-only, and the search keeps none of them, so
+    nothing an observer does reaches the search.
     """
 
     generation: int
     sample_indices: np.ndarray
-    population: tuple[Chromosome, ...]
-    parents: tuple[Chromosome, ...]
-    next_population: tuple[Chromosome, ...]
+    genes: np.ndarray
+    fitness: np.ndarray
+    parent_rows: np.ndarray
+    mutated: np.ndarray
+    next_genes: np.ndarray
+
+    def __post_init__(self) -> None:
+        arrays = (self.sample_indices, self.genes, self.fitness, self.parent_rows, self.mutated, self.next_genes)
+        for array in arrays:
+            _frozen(array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,37 +234,11 @@ def _mutate_rows(rows: np.ndarray, rate: float, rng: np.random.Generator) -> lis
 
 def _breed(genes: np.ndarray, n_parents: int, rng: np.random.Generator) -> None:
     """Fill rows ``n_parents:`` of ``genes`` with crossovers of the rows before."""
-    if n_parents < 2:
-        raise BreedingError("crossover needs at least 2 parents")
     n_genes = genes.shape[1]
     for k in range(n_parents, genes.shape[0]):
         a, b = rng.choice(n_parents, size=2, replace=False)
         take_a = rng.random(n_genes) < 0.5
         genes[k] = np.where(take_a, genes[a], genes[b])
-
-
-def _snapshot(
-    generation: int,
-    sample_indices: np.ndarray,
-    genes: np.ndarray,
-    values: np.ndarray,
-    parent_rows: np.ndarray,
-    mutated: list[bool],
-    next_genes: np.ndarray,
-) -> GASnapshot:
-    population = [Chromosome(row, v) for row, v in zip(genes, values.tolist())]
-    parents = [
-        Chromosome(next_genes[i]) if hit else population[r]
-        for i, (r, hit) in enumerate(zip(parent_rows.tolist(), mutated))
-    ]
-    children = [Chromosome(row) for row in next_genes[len(parents) :]]
-    return GASnapshot(
-        generation=generation,
-        sample_indices=sample_indices,
-        population=tuple(population),
-        parents=tuple(parents),
-        next_population=tuple(parents + children),
-    )
 
 
 def run_ga(
@@ -306,7 +281,10 @@ def run_ga(
         _breed(next_genes, n_parents, rng)
         _check_genes(next_genes)
         if on_generation is not None:
-            on_generation(_snapshot(gen, idx, genes, values, rows, mutated, next_genes))
+            # idx, values and rows are fresh each generation; the gene buffers are reused.
+            on_generation(
+                GASnapshot(gen, idx, genes.copy(), values, rows, np.array(mutated), next_genes.copy())
+            )
         genes, next_genes = next_genes, genes
     candidates = np.vstack((genes, np.full(n, 0.5)))
     full = metrics._population_nll(candidates, true_probs)

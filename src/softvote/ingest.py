@@ -78,7 +78,7 @@ from .errors import (
     SplitError,
     ValidationError,
 )
-from .ga import GAConfig, _parent_counts
+from .ga import GAConfig
 from .metrics import EvaluationReport
 from .rng import check_seed, make_rng
 from .synthgen import ClassifierProfile, GeneratorSpec
@@ -138,7 +138,8 @@ class SplitSpec:
         v = self.train_fraction
         if not isinstance(v, Real) or isinstance(v, bool):
             raise ConfigError(f"train_fraction must be a real number, got {v!r}")
-        if not 0.0 < float(v) < 1.0:
+        # Compared without float(), which overflows on a huge integer.
+        if not 0.0 < v < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {v!r}")
         check_seed(self.seed)
 
@@ -541,7 +542,6 @@ _REPORT_SCHEMA = {
     "classifier_names": [str],
     "sample_count": int,
 }
-REPORT_KEYS = tuple(_REPORT_SCHEMA)
 
 
 def _report(confusion: list[list[float]], **values) -> EvaluationReport:
@@ -635,16 +635,6 @@ def write_report(
 GA_CONFIG_KEYS = tuple(field.name for field in fields(GAConfig))
 
 
-def _ga_config(**values) -> GAConfig:
-    config = GAConfig(**values)
-    if sum(_parent_counts(config, config.population_size)) < 2:
-        raise ConfigError(
-            f"population_size {config.population_size} with elite_fraction {config.elite_fraction} and "
-            f"extra_parent_fraction {config.extra_parent_fraction} selects 1 parent; crossover needs at least 2"
-        )
-    return config
-
-
 def read_ga_config(path: str | Path) -> GAConfig:
     """GA settings from JSON; every key is optional and defaults apply."""
     data = _load_json(path)
@@ -653,7 +643,7 @@ def read_ga_config(path: str | Path) -> GAConfig:
     unknown = [k for k in data if k not in GA_CONFIG_KEYS]
     if unknown:
         raise ConfigError(f"{path}: unknown GA config keys {unknown}")
-    return _built(path, "bad GA config: ", _ga_config, **data)
+    return _built(path, "bad GA config: ", GAConfig, **data)
 
 
 def write_ga_config(config: GAConfig, path: str | Path) -> None:

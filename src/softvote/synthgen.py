@@ -16,6 +16,7 @@ Classifier errors are independent across profiles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from numbers import Real
@@ -49,10 +50,15 @@ class ClassifierProfile:
             v = getattr(self, name)
             if not isinstance(v, Real) or isinstance(v, bool):
                 raise ConfigError(f"{name} must be a real number, got {v!r}")
-        if not 0.0 < float(self.accuracy) <= 1.0:
+        # Compared without float(), which overflows on a huge integer.
+        if not 0.0 < self.accuracy <= 1.0:
             raise ConfigError(f"accuracy must be in (0, 1], got {self.accuracy!r}")
-        if not float(self.sharpness) >= 0.0:
+        if not self.sharpness >= 0.0:
             raise ConfigError(f"sharpness must be >= 0, got {self.sharpness!r}")
+        # inf gives one-hot rows; a finite value past the float range would
+        # overflow in generate's math.exp.
+        if self.sharpness > sys.float_info.max and self.sharpness != math.inf:
+            raise ConfigError(f"sharpness must be inf or at most {sys.float_info.max!r}, got {self.sharpness!r}")
 
 
 @dataclass(frozen=True)

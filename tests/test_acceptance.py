@@ -182,37 +182,34 @@ def test_search_mechanics():
     observed = []
 
     def observe(snapshot):
-        population, parents = snapshot.population, snapshot.parents
-        ranked = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
-        elites = [population[i] for i in ranked[:10]]
-        non_elites = [population[i] for i in ranked[10:]]
-        extras = parents[10:]
+        genes, rows, mutated = snapshot.genes, snapshot.parent_rows, snapshot.mutated
+        ranked = np.argsort(snapshot.fitness, kind="stable")
+        extras = set(rows[10:].tolist())
+        kept = ~mutated
         observed.append(
             (
-                len(population),
-                len(snapshot.next_population),
-                len(parents),
-                # 10 elites, best first: an unmutated one is its population entry
-                parents[0] is elites[0]
-                and all(p is e for p, e in zip(parents[:10], elites) if p.fitness is not None),
-                # 4 extras: distinct, and an unmutated one is a non-elite entry
-                len({id(p) for p in extras}) == len(extras)
-                and all(any(p is q for q in non_elites) for p in extras if p.fitness is not None),
-                all(
-                    np.all(ch.genes >= 0.0) and np.all(ch.genes <= 1.0)
-                    for ch in snapshot.next_population
-                ),
-                bool(np.array_equal(elites[0].genes, snapshot.next_population[0].genes)),
+                genes.shape[0],
+                snapshot.next_genes.shape[0],
+                rows.shape[0],
+                # 10 elites, best first, and the best is never mutated
+                rows[:10].tolist() == ranked[:10].tolist() and not mutated[0],
+                # 4 extras: distinct non-elites
+                len(extras) == rows.shape[0] - 10 and not extras & set(ranked[:10].tolist()),
+                # an unmutated parent is copied unchanged from its population row
+                bool(np.array_equal(snapshot.next_genes[: rows.shape[0]][kept], genes[rows[kept]])),
+                bool(np.all(snapshot.next_genes >= 0.0) and np.all(snapshot.next_genes <= 1.0)),
+                bool(np.array_equal(genes[ranked[0]], snapshot.next_genes[0])),
             )
         )
 
     config = GAConfig(seed=10)
     single = run_ga(inputs, config, threads=1, on_generation=observe)
     assert len(observed) == config.generations
-    for size, next_size, n_parents, elites_ok, extras_ok, in_bounds, elite_survives in observed:
+    for size, next_size, n_parents, elites_ok, extras_ok, parents_kept, in_bounds, elite_survives in observed:
         assert size == 50 and next_size == 50
         assert n_parents == 14
         assert elites_ok and extras_ok
+        assert parents_kept
         assert in_bounds
         assert elite_survives
 

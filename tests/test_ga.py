@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from softvote import (
-    BreedingError,
-    Chromosome,
     ClassifierProfile,
     ConfigError,
     EmptyInputError,
@@ -23,7 +21,7 @@ from softvote import (
     nll,
     run_ga,
 )
-from softvote.ga import _breed, _initial_genes, _mutate_rows, _parent_rows
+from softvote.ga import _breed, _check_genes, _initial_genes, _mutate_rows, _parent_rows
 
 from conftest import random_ensemble
 
@@ -55,6 +53,8 @@ class TestGAConfig:
             {"generations": 100_001},
             {"elite_fraction": 10**400},  # float() of it would overflow
             {"mutation_rate": 10**400},
+            {"population_size": 9},  # 1 elite, floor(0.1 * 8) = 0 extras: one parent
+            {"population_size": 2, "elite_fraction": 0.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -86,16 +86,11 @@ class TestGAConfig:
         assert config.elite_fraction == 0.25
 
 
-class TestChromosome:
-    def test_rejects_out_of_range_genes(self):
-        with pytest.raises(ValidationError):
-            Chromosome([0.5, 1.5])
-        with pytest.raises(ValidationError):
-            Chromosome([-0.1])
-
-    def test_genes_are_frozen(self):
-        ch = Chromosome([0.2, 0.8])
-        assert not ch.genes.flags.writeable
+class TestCheckGenes:
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+    def test_rejects_out_of_range_genes(self, bad):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            _check_genes(np.array([[0.5, 0.5], [0.2, bad]]))
 
 
 class TestInitialGenes:
@@ -246,10 +241,6 @@ def _bred(parents, size, seed):
 
 
 class TestBreed:
-    def test_needs_two_parents(self):
-        with pytest.raises(BreedingError):
-            _bred([[0.5]], 5, 0)
-
     def test_no_children_when_full(self):
         np.testing.assert_array_equal(_bred([[0.1], [0.9]], 2, 0), [[0.1], [0.9]])
 
@@ -360,38 +351,17 @@ class TestRunGA:
 
     def test_generation_mechanics_via_callback(self):
         inputs = _two_classifier_inputs(4)
-        config = GAConfig(seed=8)
-        seen = []
-
-        def observe(snapshot):
-            best = min(
-                range(len(snapshot.population)),
-                key=lambda i: (snapshot.population[i].fitness, i),
-            )
-            seen.append(
-                {
-                    "generation": snapshot.generation,
-                    "population_size": len(snapshot.population),
-                    "next_size": len(snapshot.next_population),
-                    "best_genes": snapshot.population[best].genes.copy(),
-                    "next_head": snapshot.next_population[0].genes.copy(),
-                    "parents": len(snapshot.parents),
-                    "bounds_ok": all(
-                        np.all(ch.genes >= 0.0) and np.all(ch.genes <= 1.0)
-                        for ch in snapshot.next_population
-                    ),
-                }
-            )
-
-        run_ga(inputs, config, on_generation=observe)
-        assert [s["generation"] for s in seen] == [0, 1, 2, 3, 4]
-        for s in seen:
-            assert s["population_size"] == 50
-            assert s["next_size"] == 50
-            assert s["parents"] == 14
-            assert s["bounds_ok"]
-            # the generation's best survives untouched at the head
-            np.testing.assert_array_equal(s["best_genes"], s["next_head"])
+        snapshots = []
+        run_ga(inputs, GAConfig(seed=8), on_generation=snapshots.append)
+        assert [s.generation for s in snapshots] == [0, 1, 2, 3, 4]
+        for s in snapshots:
+            assert s.genes.shape == s.next_genes.shape == (50, 2)
+            assert s.fitness.shape == (50,)
+            assert s.parent_rows.shape == s.mutated.shape == (14,)
+            assert s.mutated.dtype == bool
+            assert np.all(s.next_genes >= 0.0) and np.all(s.next_genes <= 1.0)
+            # the generation's best (lowest index on a tie) survives untouched at the head
+            np.testing.assert_array_equal(s.next_genes[0], s.genes[np.argmin(s.fitness)])
 
     def test_observer_does_not_change_the_result(self):
         inputs = _two_classifier_inputs(5)
@@ -405,12 +375,11 @@ class TestRunGA:
         config = GAConfig(seed=4, generations=8, mutation_rate=0.4)
 
         def vandalise(snapshot):
-            for group in (snapshot.population, snapshot.parents, snapshot.next_population):
-                for ch in group:
-                    ch.genes.setflags(write=True)
-                    ch.genes[:] = 0.0
-                    ch.fitness = -1.0
-            snapshot.sample_indices[:] = 0
+            for name in ("sample_indices", "genes", "fitness", "parent_rows", "mutated", "next_genes"):
+                array = getattr(snapshot, name)
+                assert not array.flags.writeable, name
+                array.setflags(write=True)
+                array[...] = 0
 
         _assert_same_result(run_ga(inputs, config, on_generation=vandalise), run_ga(inputs, config))
 
@@ -446,19 +415,14 @@ class TestRunGA:
             a, b = rng.choice(n_parents, 2, replace=False)
             next_genes.append(np.where(rng.random(n) < 0.5, next_genes[a], next_genes[b]))
 
-        def as_bytes(rows):
-            return [np.asarray(row, dtype=np.float64).tobytes() for row in rows]
-
         (snap,) = snapshots
         assert snap.sample_indices.tobytes() == idx.tobytes()
-        assert as_bytes(ch.genes for ch in snap.population) == as_bytes(genes)
-        assert [ch.fitness for ch in snap.population] == values
-        assert as_bytes(ch.genes for ch in snap.parents) == as_bytes(next_genes[:n_parents])
-        assert [ch.fitness for ch in snap.parents] == [
-            None if hit else values[r] for r, hit in zip(parent_rows, mutated)
-        ]
+        assert snap.genes.tobytes() == genes.tobytes()
+        assert snap.fitness.tolist() == values
+        assert snap.parent_rows.tolist() == parent_rows
+        assert snap.mutated.tolist() == mutated
         assert any(mutated) and not all(mutated)
-        assert as_bytes(ch.genes for ch in snap.next_population) == as_bytes(next_genes)
+        assert snap.next_genes.tobytes() == np.array(next_genes).tobytes()
 
     def test_requires_two_samples(self):
         inputs = random_ensemble(np.random.default_rng(6), 2, 1, 3)
@@ -470,12 +434,6 @@ class TestRunGA:
         result = run_ga(one_hot_pair, GAConfig(generations=1, seed=123))
         majority = nll(fuse_majority(one_hot_pair), one_hot_pair.label_array)
         assert result.full_data_nll <= majority + 1e-12
-
-    def test_single_parent_config_cannot_breed(self, one_hot_pair):
-        # population 2 with elite 0.5 selects one parent, which cannot cross over
-        config = GAConfig(population_size=2, elite_fraction=0.5, seed=0)
-        with pytest.raises(BreedingError):
-            run_ga(one_hot_pair, config)
 
 
 # run_ga results recorded before population scoring was batched: the

@@ -297,11 +297,11 @@ class TestSplitSamples:
         assert sorted(train + heldout) == list(ids)
         assert inputs.restrict(heldout).sample_ids == heldout
 
-    def test_fraction_bounds(self):
-        with pytest.raises(ConfigError):
-            SplitSpec(train_fraction=1.0)
-        with pytest.raises(ConfigError):
-            SplitSpec(train_fraction=0.0)
+    # float() of 10**400 would overflow; the comparison must not.
+    @pytest.mark.parametrize("value", [1.0, 0.0, 10**400, -(10**400)], ids=["one", "zero", "huge", "-huge"])
+    def test_fraction_bounds(self, value):
+        with pytest.raises(ConfigError, match=r"^train_fraction must be in \(0, 1\)"):
+            SplitSpec(train_fraction=value)
 
     @pytest.mark.parametrize("value", ["0.5", "abc", True, None, 1j, [0.5]])
     def test_fraction_must_be_real(self, value):
@@ -339,12 +339,15 @@ class TestGAConfigFile:
         ],
     )
     def test_config_keeping_one_parent_is_rejected(self, tmp_path, data, shown):
-        GAConfig(**data)  # constructible; only the file reader refuses it
+        message = f"{shown} selects 1 parent; crossover needs at least 2"
+        with pytest.raises(ConfigError) as info:
+            GAConfig(**data)
+        assert str(info.value) == message
         p = tmp_path / "ga.json"
         p.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ConfigError) as info:
             read_ga_config(p)
-        assert str(info.value) == f"{p}: bad GA config: {shown} selects 1 parent; crossover needs at least 2"
+        assert str(info.value) == f"{p}: bad GA config: {message}"
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "ga.json"

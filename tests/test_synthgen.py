@@ -54,6 +54,10 @@ class TestGeneratorSpec:
             ((None, 0.9, 2.0), "^name must be a non-empty string, got None"),
             ((7, 0.9, 2.0), "^name must be a non-empty string, got 7"),
             (("", 0.9, 2.0), "^name must be a non-empty string, got ''"),
+            # float() of a huge integer overflows; each is a ConfigError naming its field
+            (("a", 10**400, 2.0), r"^accuracy must be in \(0, 1\], got 1000"),
+            (("a", 0.5, 10**400), r"^sharpness must be inf or at most 1\.79.*e\+308, got 1000"),
+            (("a", 0.5, -(10**400)), "^sharpness must be >= 0, got -1000"),
         ],
     )
     def test_profile_rejects_wrong_types(self, args, message):
@@ -79,6 +83,11 @@ class TestGeneratorSpec:
     def test_profile_accepts_numpy_and_integral_reals(self):
         profile = ClassifierProfile("a", np.float64(0.9), 2)
         assert generate(_spec([profile], num_samples=5)).num_samples == 5
+
+    def test_infinite_sharpness_gives_one_hot_rows(self):
+        inputs = generate(_spec([ClassifierProfile("a", 0.7, float("inf"))], num_samples=50))
+        rows = inputs.classifiers[0].probs
+        assert np.all((rows == 0.0) | (rows == 1.0)) and np.all(rows.sum(axis=1) == 1.0)
 
 
 class TestGenerate:
