@@ -114,13 +114,15 @@ def search_weights_cmd(manifest_path: str, config_path: str | None, seed: int | 
     if seed is not None:
         config = replace(config, seed=seed)
     inputs = ingest.load_manifest(manifest_path)
-    result = ga.run_ga(inputs, config)
-    for stats in result.generation_log:
+
+    def echo_generation(snapshot: ga.GASnapshot) -> None:
+        fitness = snapshot.fitness
         click.echo(
-            f"generation {stats.generation}: best_nll={stats.best_nll:.6f} "
-            f"mean_nll={stats.mean_nll:.6f}",
+            f"generation {snapshot.generation}: best_nll={fitness.min():.6f} mean_nll={np.mean(fitness):.6f}",
             err=True,
         )
+
+    result = ga.run_ga(inputs, config, on_generation=echo_generation)
     click.echo(f"full-data nll: {result.full_data_nll:.6f}", err=True)
     ingest.write_weights(result.weights, result.full_data_nll, out)
 

@@ -48,3 +48,16 @@ class SplitError(ValidationError):
 
 class OracleScopeError(ValidationError):
     """Exhaustive weight search requested outside its tractable range."""
+
+
+# An integer of at most this many bits has at most 617 decimal digits, under
+# the smallest limit Python can set on int-to-str conversion (640 digits).
+_SHOWN_INT_BITS = 2048
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message; an integer too long to print is named by its size."""
+    if isinstance(value, int) and value.bit_length() > _SHOWN_INT_BITS:
+        kind = "a negative integer" if value < 0 else "an integer"
+        return f"{kind} of {value.bit_length()} bits"
+    return repr(value)

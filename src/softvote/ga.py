@@ -51,13 +51,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import metrics
 from .core import EnsembleInputs, _frozen
-from .errors import ConfigError, EmptyInputError, ValidationError
+from .errors import ConfigError, EmptyInputError, ValidationError, _shown
 from .rng import check_seed, make_rng
 
 # Upper limits on the search's counts. A run holds two (population_size, N)
@@ -83,9 +83,9 @@ class GAConfig:
         for name, low, high in (("population_size", 2, MAX_POPULATION_SIZE), ("generations", 1, MAX_GENERATIONS)):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
+                raise ConfigError(f"{name} must be an integer, got {_shown(v)}")
             if not low <= v <= high:
-                raise ConfigError(f"{name} must be in [{low}, {high}], got {v}")
+                raise ConfigError(f"{name} must be in [{low}, {high}], got {_shown(v)}")
         for name in (
             "elite_fraction",
             "extra_parent_fraction",
@@ -94,14 +94,14 @@ class GAConfig:
         ):
             v = getattr(self, name)
             if not isinstance(v, Real) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be a real number, got {v!r}")
+                raise ConfigError(f"{name} must be a real number, got {_shown(v)}")
         # Compared without float(), which overflows on a huge integer.
         for name in ("elite_fraction", "extra_parent_fraction", "fitness_sample_fraction"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1], got {v!r}")
+                raise ConfigError(f"{name} must be in (0, 1], got {_shown(v)}")
         if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigError(f"mutation_rate must be in [0, 1], got {self.mutation_rate!r}")
+            raise ConfigError(f"mutation_rate must be in [0, 1], got {_shown(self.mutation_rate)}")
         if math.floor(self.elite_fraction * self.population_size) < 1:
             raise ConfigError(
                 "elite_fraction * population_size must keep at least one elite"
@@ -119,12 +119,6 @@ def _check_genes(genes: np.ndarray) -> None:
     # NaN fails both comparisons.
     if not (genes.min() >= 0.0 and genes.max() <= 1.0):
         raise ValidationError("genes must lie in [0, 1]")
-
-
-class GenerationStats(NamedTuple):
-    generation: int
-    best_nll: float
-    mean_nll: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,32 +157,26 @@ class GASnapshot:
 
 @dataclass(frozen=True, eq=False)
 class GAResult:
-    """Winning weights, their NLL on all samples, and the search trace."""
+    """Winning weights and their NLL on all samples."""
 
     weights: np.ndarray
     full_data_nll: float
-    generation_log: tuple[GenerationStats, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _frozen(np.array(self.weights, dtype=np.float64)))
 
 
 def _initial_genes(n_classifiers: int, config: GAConfig, rng: np.random.Generator) -> np.ndarray:
-    if n_classifiers < 1:
-        raise ValidationError("need at least one classifier")
     genes = rng.random((config.population_size, n_classifiers))
     genes[0, :] = 0.5
     return genes
 
 
-def draw_fitness_sample(
-    num_samples: int, fraction: float, rng: np.random.Generator
-) -> np.ndarray:
-    """floor(fraction * S) distinct sample indices (at least 1), ascending."""
-    if num_samples < 1:
-        raise EmptyInputError("need at least one sample to draw from")
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction!r}")
+def _draw_fitness_sample(num_samples: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """floor(fraction * S) distinct sample indices (at least 1), ascending.
+
+    ``run_ga`` refuses S < 2 and ``GAConfig`` keeps ``fraction`` in (0, 1].
+    """
     k = max(1, math.floor(fraction * num_samples))
     return np.sort(rng.choice(num_samples, size=k, replace=False))
 
@@ -205,8 +193,6 @@ def _parent_rows(
     """Row indices of the parents: elites best first, then the extras."""
     n_rows = fitness_values.shape[0]
     n_elite, n_extra = _parent_counts(config, n_rows)
-    if n_elite < 1:
-        raise ConfigError("elite_fraction keeps no chromosomes for this population size")
     elite = np.argsort(fitness_values, kind="stable")[:n_elite]
     rest = np.ones(n_rows, dtype=bool)
     rest[elite] = False
@@ -258,7 +244,7 @@ def run_ga(
     or the speed: scoring always runs on the calling thread.
     """
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+        raise ConfigError(f"threads must be a positive integer, got {_shown(threads)}")
     config = config or GAConfig()
     n = inputs.n_classifiers
     s = inputs.num_samples
@@ -268,11 +254,9 @@ def run_ga(
     genes = _initial_genes(n, config, rng)
     next_genes = np.empty_like(genes)
     true_probs = metrics._true_class_probs(inputs)
-    log: list[GenerationStats] = []
     for gen in range(config.generations):
-        idx = draw_fitness_sample(s, config.fitness_sample_fraction, rng)
+        idx = _draw_fitness_sample(s, config.fitness_sample_fraction, rng)
         values = metrics._population_nll(genes, true_probs[:, idx])
-        log.append(GenerationStats(gen, float(values.min()), float(np.mean(values))))
         rows = _parent_rows(values, config, rng)
         n_parents = rows.shape[0]
         next_genes[:n_parents] = genes[rows]
@@ -289,8 +273,4 @@ def run_ga(
     candidates = np.vstack((genes, np.full(n, 0.5)))
     full = metrics._population_nll(candidates, true_probs)
     best = int(np.argmin(full))  # ties to the lower index; baseline is last
-    return GAResult(
-        weights=candidates[best],
-        full_data_nll=float(full[best]),
-        generation_log=tuple(log),
-    )
+    return GAResult(weights=candidates[best], full_data_nll=float(full[best]))

@@ -77,6 +77,7 @@ from .errors import (
     LabelRangeError,
     SplitError,
     ValidationError,
+    _shown,
 )
 from .ga import GAConfig
 from .metrics import EvaluationReport
@@ -137,10 +138,10 @@ class SplitSpec:
     def __post_init__(self) -> None:
         v = self.train_fraction
         if not isinstance(v, Real) or isinstance(v, bool):
-            raise ConfigError(f"train_fraction must be a real number, got {v!r}")
+            raise ConfigError(f"train_fraction must be a real number, got {_shown(v)}")
         # Compared without float(), which overflows on a huge integer.
         if not 0.0 < v < 1.0:
-            raise ConfigError(f"train_fraction must be in (0, 1), got {v!r}")
+            raise ConfigError(f"train_fraction must be in (0, 1), got {_shown(v)}")
         check_seed(self.seed)
 
 

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _shown
 
 MAX_SEED = 2**64 - 1
 
 
 def check_seed(seed: int) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+        raise ConfigError(f"seed must be an integer, got {_shown(seed)}")
     if not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+        raise ConfigError(f"seed must be in [0, 2**64), got {_shown(seed)}")
     return seed
 
 

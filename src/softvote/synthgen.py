@@ -25,7 +25,7 @@ import numpy as np
 
 from . import metrics
 from .core import EnsembleInputs, LabeledSamples, PredictionSet
-from .errors import ConfigError, OracleScopeError, ValidationError
+from .errors import ConfigError, OracleScopeError, ValidationError, _shown
 from .rng import check_seed, make_rng
 
 ORACLE_MAX_CLASSIFIERS = 3
@@ -45,20 +45,20 @@ class ClassifierProfile:
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
-            raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
+            raise ConfigError(f"name must be a non-empty string, got {_shown(self.name)}")
         for name in ("accuracy", "sharpness"):
             v = getattr(self, name)
             if not isinstance(v, Real) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be a real number, got {v!r}")
+                raise ConfigError(f"{name} must be a real number, got {_shown(v)}")
         # Compared without float(), which overflows on a huge integer.
         if not 0.0 < self.accuracy <= 1.0:
-            raise ConfigError(f"accuracy must be in (0, 1], got {self.accuracy!r}")
+            raise ConfigError(f"accuracy must be in (0, 1], got {_shown(self.accuracy)}")
         if not self.sharpness >= 0.0:
-            raise ConfigError(f"sharpness must be >= 0, got {self.sharpness!r}")
+            raise ConfigError(f"sharpness must be >= 0, got {_shown(self.sharpness)}")
         # inf gives one-hot rows; a finite value past the float range would
         # overflow in generate's math.exp.
         if self.sharpness > sys.float_info.max and self.sharpness != math.inf:
-            raise ConfigError(f"sharpness must be inf or at most {sys.float_info.max!r}, got {self.sharpness!r}")
+            raise ConfigError(f"sharpness must be inf or at most {sys.float_info.max!r}, got {_shown(self.sharpness)}")
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,14 @@ class GeneratorSpec:
         for name, high in (("num_classes", MAX_NUM_CLASSES), ("num_samples", MAX_NUM_SAMPLES)):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
+                raise ConfigError(f"{name} must be an integer, got {_shown(v)}")
             if not 1 <= v <= high:
-                raise ConfigError(f"{name} must be in [1, {high}], got {v}")
+                raise ConfigError(f"{name} must be in [1, {high}], got {_shown(v)}")
         if not self.profiles:
             raise ConfigError("classifiers must list at least one profile")
         bad = next((p for p in self.profiles if not isinstance(p, ClassifierProfile)), None)
         if bad is not None:
-            raise ConfigError(f"profiles must be ClassifierProfile values, got {bad!r}")
+            raise ConfigError(f"profiles must be ClassifierProfile values, got {_shown(bad)}")
         names = [p.name for p in self.profiles]
         if len(set(names)) != len(names):
             raise ConfigError("classifiers must have unique names")
@@ -139,7 +139,7 @@ def brute_force_weights(
             f"exhaustive search supports at most {ORACLE_MAX_CLASSIFIERS} classifiers, got {n}"
         )
     if not 0.0 < grid_step <= 0.5:
-        raise ValidationError(f"grid_step must be in (0, 0.5], got {grid_step!r}")
+        raise ValidationError(f"grid_step must be in (0, 0.5], got {_shown(grid_step)}")
     divisions = round(1.0 / grid_step)
     grid = np.array(list(_simplex_grid(n, divisions)), dtype=np.float64) / divisions
     values = metrics._population_nll(grid, metrics._true_class_probs(inputs))

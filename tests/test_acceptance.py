@@ -180,8 +180,10 @@ def test_search_mechanics():
     )
     inputs = generate(spec)
     observed = []
+    single_log = []
 
     def observe(snapshot):
+        single_log.append((snapshot.generation, snapshot.fitness.tobytes()))
         genes, rows, mutated = snapshot.genes, snapshot.parent_rows, snapshot.mutated
         ranked = np.argsort(snapshot.fitness, kind="stable")
         extras = set(rows[10:].tolist())
@@ -213,10 +215,16 @@ def test_search_mechanics():
         assert in_bounds
         assert elite_survives
 
-    threaded = run_ga(inputs, config, threads=max(2, os.cpu_count() or 2))
+    threaded_log = []
+    threaded = run_ga(
+        inputs,
+        config,
+        threads=max(2, os.cpu_count() or 2),
+        on_generation=lambda snapshot: threaded_log.append((snapshot.generation, snapshot.fitness.tobytes())),
+    )
     assert single.weights.tobytes() == threaded.weights.tobytes()
     assert single.full_data_nll == threaded.full_data_nll
-    assert single.generation_log == threaded.generation_log
+    assert single_log == threaded_log
 
 
 @criterion(6, "default search on an 8-classifier manifest: 5 generations, 8 genes")
@@ -225,8 +233,9 @@ def test_default_shape(tmp_path):
     spec = GeneratorSpec(10, 400, _synthetic_profiles(prng, 8, 1.0, 4.0), seed=6)
     manifest_path = write_ensemble(generate(spec), tmp_path / "bundle")
     inputs = load_manifest(manifest_path)
-    result = run_ga(inputs, GAConfig(seed=0))
-    assert len(result.generation_log) == 5
+    snapshots = []
+    result = run_ga(inputs, GAConfig(seed=0), on_generation=snapshots.append)
+    assert [s.generation for s in snapshots] == [0, 1, 2, 3, 4]
     assert result.weights.shape == (8,)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from softvote import (
     EnsembleInputs,
+    GAConfig,
     LabeledSamples,
     PredictionSet,
     argmax_classes,
@@ -20,6 +21,7 @@ from softvote import (
     load_manifest,
     read_report,
     read_weights,
+    run_ga,
     write_ensemble,
 )
 from softvote import synthgen
@@ -130,10 +132,21 @@ class TestSearchWeights:
             ["search-weights", "--manifest", str(bundle), "--seed", "7", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
+        lines = []
+
+        def observe(snapshot):
+            fitness = snapshot.fitness
+            lines.append(
+                f"generation {snapshot.generation}: best_nll={fitness.min():.6f} mean_nll={np.mean(fitness):.6f}\n"
+            )
+
+        expected = run_ga(load_manifest(bundle), GAConfig(seed=7), on_generation=observe)
+        lines.append(f"full-data nll: {expected.full_data_nll:.6f}\n")
+        assert len(lines) == 6
+        assert result.stderr == "".join(lines)
         weights, value = read_weights(out)
-        assert weights.shape == (3,)
-        assert value >= 0.0
-        assert result.stderr.count("generation ") == 5
+        assert weights.tobytes() == expected.weights.tobytes()
+        assert value == expected.full_data_nll
 
     def test_seed_makes_output_byte_identical(self, bundle, tmp_path, runner):
         paths = [tmp_path / "w1.json", tmp_path / "w2.json"]

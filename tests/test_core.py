@@ -82,7 +82,8 @@ class TestEnsembleInputs:
             EnsembleInputs((a,), LabeledSamples(("x",), [2]))
 
     def test_needs_one_classifier(self):
-        with pytest.raises(ValidationError):
+        # The weight search relies on this: its steps assume one gene or more.
+        with pytest.raises(ValidationError, match="^ensemble needs at least one classifier$"):
             EnsembleInputs((), LabeledSamples(("x",), [0]))
 
     def test_label_array_follows_row_order(self):

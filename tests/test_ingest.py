@@ -297,8 +297,11 @@ class TestSplitSamples:
         assert sorted(train + heldout) == list(ids)
         assert inputs.restrict(heldout).sample_ids == heldout
 
-    # float() of 10**400 would overflow; the comparison must not.
-    @pytest.mark.parametrize("value", [1.0, 0.0, 10**400, -(10**400)], ids=["one", "zero", "huge", "-huge"])
+    # float() of 10**400 would overflow, and repr() of 10**5000 would raise;
+    # the comparison and the message must not.
+    @pytest.mark.parametrize(
+        "value", [1.0, 0.0, 10**400, -(10**400), 10**5000], ids=["one", "zero", "huge", "-huge", "too-long"]
+    )
     def test_fraction_bounds(self, value):
         with pytest.raises(ConfigError, match=r"^train_fraction must be in \(0, 1\)"):
             SplitSpec(train_fraction=value)

@@ -9,4 +9,4 @@ def test_public_names():
     namespace = {}
     exec("from softvote import *", namespace)
     assert set(names) <= set(namespace)
-    assert not {"Chromosome", "BreedingError"} & set(dir(softvote))
+    assert not {"Chromosome", "BreedingError", "GenerationStats", "draw_fitness_sample"} & set(dir(softvote))

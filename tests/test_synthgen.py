@@ -58,6 +58,9 @@ class TestGeneratorSpec:
             (("a", 10**400, 2.0), r"^accuracy must be in \(0, 1\], got 1000"),
             (("a", 0.5, 10**400), r"^sharpness must be inf or at most 1\.79.*e\+308, got 1000"),
             (("a", 0.5, -(10**400)), "^sharpness must be >= 0, got -1000"),
+            # too long for repr(): the message gives its size instead
+            (("a", 0.5, 10**5000), r"^sharpness must be inf or at most .*, got an integer of 16610 bits$"),
+            ((10**5000, 0.9, 2.0), "^name must be a non-empty string, got an integer of 16610 bits$"),
         ],
     )
     def test_profile_rejects_wrong_types(self, args, message):
@@ -72,6 +75,8 @@ class TestGeneratorSpec:
             ({"num_samples": "10"}, "num_samples must be an integer, got '10'"),
             ({"num_samples": True}, "num_samples must be an integer, got True"),
             ({"profiles": ({"name": "a"},)}, "profiles must be ClassifierProfile values"),
+            ({"num_samples": 10**5000}, r"^num_samples must be in \[1, 1000000\], got an integer of 16610 bits$"),
+            ({"num_classes": -(10**5000)}, r"^num_classes must be in \[1, 1000\], got a negative integer of 16610 bits$"),
         ],
     )
     def test_spec_rejects_wrong_types(self, changes, message):
@@ -211,3 +216,5 @@ class TestBruteForceWeights:
             brute_force_weights(one_hot_pair, 0.6)
         with pytest.raises(ValidationError):
             brute_force_weights(one_hot_pair, 0.0)
+        with pytest.raises(ValidationError, match="^grid_step must be in .*, got an integer of 16610 bits$"):
+            brute_force_weights(one_hot_pair, 10**5000)
