@@ -60,4 +60,7 @@ def _shown(value: object) -> str:
     if isinstance(value, int) and value.bit_length() > _SHOWN_INT_BITS:
         kind = "a negative integer" if value < 0 else "an integer"
         return f"{kind} of {value.bit_length()} bits"
-    return repr(value)
+    try:
+        return repr(value)
+    except ValueError:  # a container holding an integer too long to print
+        return f"a {type(value).__name__} holding an integer too long to print"

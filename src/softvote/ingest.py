@@ -52,6 +52,19 @@ that does not parse, and for predictions an entry outside [0, 1] (which
 catches infinities), a NaN entry ("non-finite probability") and a sum
 that misses 1 (decided by ``math.fsum``, as in ``PredictionSet``); for
 labels a value outside [0, C).
+
+Each load of a regular CSV file is cached in ``.softvote-cache/`` beside
+it, one entry per file, written only after ``build`` accepted the file.
+An entry holds one JSON line (the key, a BLAKE2b digest of the payload
+and the byte count of its ids), then the payload: the sample ids as a
+JSON array and the values as raw little-endian float64 or int64. The key
+is a BLAKE2b digest of the file's exact bytes, the header, the file kind
+with its class count, and ``_CACHE_FORMAT``; no file time or size is
+part of it. A load whose key matches an intact entry skips the parse and
+passes the cached ids and values to ``build``, so every row and id is
+checked as on a first load. Any other entry is ignored and the file is
+parsed, and a failed write of an entry is ignored, so the cache changes
+no result and no error.
 """
 
 from __future__ import annotations
@@ -63,6 +76,7 @@ import json
 import math
 import os
 import re
+from _blake2 import blake2b  # hashlib re-exports it, but importing hashlib loads OpenSSL
 from dataclasses import dataclass, fields
 from numbers import Real
 from pathlib import Path
@@ -153,11 +167,15 @@ class SplitSpec:
 _BLOCK_CELLS = 1 << 12
 
 
-def _read_text(path: str | Path, newline: str | None = None) -> str:
-    """The whole file as text; bytes that are not UTF-8 are a FormatError."""
+def _read_bytes(path: str | Path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _decoded(path: str | Path, data: bytes) -> str:
+    """``data`` as text; bytes that are not UTF-8 are a FormatError."""
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -201,14 +219,14 @@ def _record_blocks(path: Path, text: str, size: int):
         yield block
 
 
-def _table_blocks(path: Path, header: list[str]) -> Iterator[tuple[int, list[list[str]]]]:
-    """The records after the header, in blocks, each with the row number of its first record.
+def _table_blocks(path: Path, header: list[str], text: str) -> Iterator[tuple[int, list[list[str]]]]:
+    """The records after the header of CSV ``text``, in blocks, each with the row number of its first record.
 
     Blank records (``[]``) are kept, so the numbers count them. A first
     record other than ``header`` is a FormatError.
     """
     number = 1
-    for records in _record_blocks(path, _read_text(path, newline=""), max(1, _BLOCK_CELLS // len(header))):
+    for records in _record_blocks(path, text, max(1, _BLOCK_CELLS // len(header))):
         if number == 1:
             if not records or records[0] != header:
                 break
@@ -219,9 +237,60 @@ def _table_blocks(path: Path, header: list[str]) -> Iterator[tuple[int, list[lis
         raise FormatError(f"{path}: bad header, expected {','.join(header)}")
 
 
+# Part of every cache key: a change to the entry layout or to what a parse
+# accepts or returns must change it, so that older entries stop matching.
+_CACHE_FORMAT = "softvote-cache 1"
+_CACHE_DIR = ".softvote-cache"
+_ENTRY_SCHEMA = {"key": str, "digest": str, "ids": int}
+
+
+def _cache_key(data: bytes, header: list[str], kind: str) -> str:
+    """A digest of a CSV's exact bytes and of everything its parse depends on."""
+    digest = blake2b(json.dumps([_CACHE_FORMAT, kind, header]).encode() + b"\0")
+    digest.update(data)
+    return digest.hexdigest()
+
+
+def _cached(entry: Path, key: str, empty: np.ndarray) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The ids and values that ``entry`` holds for ``key``; None if it is missing, stale or damaged.
+
+    The entry's layout is in the module docstring; its values have the
+    dtype and the trailing shape of ``empty``.
+    """
+    try:
+        head, _, payload = _read_bytes(entry).partition(b"\n")
+        meta = _typed(json.loads(head), _ENTRY_SCHEMA, entry, "cache entry")
+        if meta["key"] != key or blake2b(payload).hexdigest() != meta["digest"]:
+            return None
+        ids = json.loads(payload[: meta["ids"]])
+        values = np.frombuffer(payload, empty.dtype.newbyteorder("<"), offset=meta["ids"])
+        values = values.reshape((-1, *empty.shape[1:]))
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not (isinstance(ids, list) and all(isinstance(sid, str) for sid in ids)):
+        return None
+    return tuple(ids), values
+
+
+def _store(entry: Path, key: str, ids: tuple[str, ...], values: np.ndarray) -> None:
+    """Write ``ids`` and ``values`` to ``entry`` for ``key``; a failed write is ignored."""
+    values = np.ascontiguousarray(values, values.dtype.newbyteorder("<"))
+    ids_json = json.dumps(ids).encode()
+    digest = blake2b(ids_json)
+    digest.update(values)
+    meta = {"key": key, "digest": digest.hexdigest(), "ids": len(ids_json)}
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        _write_bytes(entry, [json.dumps(meta).encode() + b"\n", ids_json, values.data])
+    except OSError:
+        pass
+
+
 def _read_table(
     path: Path,
     header: list[str],
+    kind: str,
+    empty: np.ndarray,
     convert: Callable[[list[list[str]]], np.ndarray],
     check_row: Callable[[int, list[str]], None],
     build: Callable[[tuple[str, ...], np.ndarray], PredictionSet | LabeledSamples],
@@ -230,30 +299,51 @@ def _read_table(
 
     The first pass only parses: each block's non-blank rows must have
     ``len(header)`` cells, and ``convert(records)`` turns their value cells
-    into an array or raises a ValueError. ``build``, the type's public
-    constructor, then checks every row and the ids, once, over the whole
-    file. If the parse or ``build`` fails, the file is walked again from
-    the top, row by row, in the order of the module docstring
-    (``check_row(number, record)`` last), and its first bad row raises.
+    into an array like ``empty`` or raises a ValueError. ``build``, the
+    type's public constructor, then checks every row and the ids, once,
+    over the whole file. If the parse or ``build`` fails, the file is
+    walked again from the top, row by row, in the order of the module
+    docstring (``check_row(number, record)`` last), and its first bad row
+    raises.
+
+    A regular file's ids and values are cached once ``build`` accepts them,
+    keyed by the file's bytes, ``header`` and ``kind``, which names
+    whatever else ``convert`` depends on. A load that finds its entry skips
+    the parse and hands the cached ids and values to ``build``.
     """
+    data = _read_bytes(path)
+    key = _cache_key(data, header, kind)
+    entry = path.parent / _CACHE_DIR / f"{path.name}.entry" if path.is_file() else None
+    cached = _cached(entry, key, empty) if entry is not None else None
+    if cached is not None:
+        try:
+            return build(*cached)
+        except ValueError:  # an entry written by other means; parse the file
+            pass
+    blocks = _table_blocks(path, header, _decoded(path, data))
+    del data  # the split holds the text; the bytes would be a second copy
     try:
         ids: list[str] = []
         arrays: list[np.ndarray] = []
-        for _, records in _table_blocks(path, header):
+        for _, records in blocks:
             records = [record for record in records if record]
             if set(map(len, records)) - {len(header)}:
                 raise ValueError("wrong cell count")
             arrays.append(convert(records))
             ids.extend([record[0] for record in records])
-        values = np.concatenate(arrays) if arrays else convert([])
+        values = np.concatenate(arrays) if arrays else empty
         # The text and its lines went with the finished generator; drop the
         # last block's records and the block arrays before ``build`` copies.
         ids, arrays, records = tuple(ids), [], []
-        return build(ids, values)
+        result = build(ids, values)
     except (ValueError, OverflowError):  # ValidationError is a ValueError
         pass
+    else:
+        if entry is not None:
+            _store(entry, key, ids, values)
+        return result
     seen: dict[str, int] = {}
-    for number, records in _table_blocks(path, header):
+    for number, records in _table_blocks(path, header, _decoded(path, _read_bytes(path))):
         for n, record in enumerate(records, number):
             if not record:
                 continue
@@ -307,8 +397,8 @@ def _csv_text(
         yield "".join([f"{sid},{','.join(map(repr, row))}{end}" for sid, row, end in zip(ids, rows, ends)])
 
 
-def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` as UTF-8 to a new file beside ``path``, then move it onto ``path``.
+def _write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a new file beside ``path``, then move it onto ``path``.
 
     The temp file is opened with mode "x", so it is new and the umask sets
     its permissions. On any exception it is removed and ``path`` is left
@@ -317,11 +407,11 @@ def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """
     path = Path(path)
     if path.exists() and not path.is_file():
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(chunks)
         return
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    fh = open(tmp, "xb")
     try:
         with fh:
             fh.writelines(chunks)
@@ -332,6 +422,11 @@ def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """``_write_bytes`` of ``chunks`` encoded as UTF-8."""
+    _write_bytes(path, (chunk.encode("utf-8") for chunk in chunks))
 
 
 def load_predictions(path: str | Path, num_classes: int, name: str | None = None) -> PredictionSet:
@@ -360,7 +455,8 @@ def load_predictions(path: str | Path, num_classes: int, name: str | None = None
         # module's attribute sees the call.
         return PredictionSet(name if name is not None else path.stem, ids, probs)
 
-    return _read_table(path, _prob_columns(num_classes), convert, check_row, build)
+    empty = np.empty((0, num_classes))
+    return _read_table(path, _prob_columns(num_classes), f"predictions {num_classes}", empty, convert, check_row, build)
 
 
 def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
@@ -389,7 +485,8 @@ def load_labels(path: str | Path, num_classes: int | None = None) -> LabeledSamp
             bound = num_classes if num_classes is not None else "inf"
             raise LabelRangeError(f"{path}: row {number}: label {label} outside [0, {bound})")
 
-    return _read_table(path, ["sample_id", "label"], convert, check_row, LabeledSamples)
+    empty = np.empty(0, dtype=np.int64)
+    return _read_table(path, ["sample_id", "label"], f"labels {num_classes}", empty, convert, check_row, LabeledSamples)
 
 
 def write_labels(labels: LabeledSamples, path: str | Path) -> None:
@@ -401,7 +498,9 @@ def write_labels(labels: LabeledSamples, path: str | Path) -> None:
 
 
 def _load_json(path: str | Path):
-    text = _read_text(path)
+    # Line ends as universal-newlines mode reads them, which json's error
+    # positions count.
+    text = _decoded(path, _read_bytes(path)).replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -424,7 +523,7 @@ def _number(value, key: str, kind: type, path: str | Path) -> int | float:
             ok = False
     if not ok:
         want = "an integer" if kind is int else "a finite number"
-        raise FormatError(f"{path}: {key} must be {want}, got {value!r}")
+        raise FormatError(f"{path}: {key} must be {want}, got {_shown(value)}")
     return kind(value)
 
 
@@ -526,13 +625,11 @@ def read_weights(path: str | Path) -> tuple[np.ndarray, float]:
 
 
 def write_weights(weights: Sequence[float] | np.ndarray, full_data_nll: float, path: str | Path) -> None:
-    _dump_json(
-        {
-            "weights": [float(v) for v in np.asarray(weights)],
-            "full_data_nll": float(full_data_nll),
-        },
-        path,
-    )
+    """Write a weights file; values ``read_weights`` would refuse raise its error, and nothing is written."""
+    values = {"weights": np.asarray(weights).tolist(), "full_data_nll": np.asarray(full_data_nll).tolist()}
+    checked = _typed(values, _WEIGHTS_SCHEMA, path, "weights file")
+    _built(path, "", _weights_file, **checked)
+    _dump_json(checked, path)
 
 
 _REPORT_SCHEMA = {

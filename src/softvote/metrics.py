@@ -13,7 +13,9 @@ clones), and reproduces :func:`nll` of each weighted fusion bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +34,7 @@ from .errors import (
     EmptyInputError,
     LabelRangeError,
     ValidationError,
+    _shown,
 )
 
 NLL_EPSILON = 1e-15
@@ -200,10 +203,15 @@ class EvaluationReport:
         if not np.all(ok):
             row = int(np.argmax(~ok))
             raise ValidationError(f"confusion row {row} sums to {sums[row]!r}, want 100 or 0")
-        if not np.isfinite(self.nll) or self.nll < 0.0:
-            raise ValidationError(f"nll must be a non-negative real, got {self.nll!r}")
-        if not 0.0 <= self.accuracy_percent <= 100.0:
-            raise ValidationError(f"accuracy_percent out of [0, 100]: {self.accuracy_percent!r}")
+        try:
+            nll_ok = isinstance(self.nll, Real) and math.isfinite(self.nll) and self.nll >= 0.0
+        except OverflowError:  # an integer beyond the float range
+            nll_ok = False
+        if not nll_ok:
+            raise ValidationError(f"nll must be a non-negative real, got {_shown(self.nll)}")
+        # Compared without float(), which overflows on a huge integer.
+        if not (isinstance(self.accuracy_percent, Real) and 0.0 <= self.accuracy_percent <= 100.0):
+            raise ValidationError(f"accuracy_percent out of [0, 100]: {_shown(self.accuracy_percent)}")
         if self.sample_count < 0:
             raise ValidationError("sample_count must be non-negative")
         object.__setattr__(self, "nll", float(self.nll))

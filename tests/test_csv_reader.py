@@ -5,11 +5,20 @@ blank rows, cell counts, and which bad row is reported first. The
 Hypothesis tests check that every valid set reads back bit for bit, that
 arbitrary text raises only ``ValidationError`` or ``OSError``, and that
 fuzzed CSV text gives exactly what a row-at-a-time reference reader gives.
+Each of them loads twice, so the second load, served from the entry that
+the first one cached, must give the same result. ``TestLoadCache`` pins
+when that cache is used, written and refused.
 """
 
 import csv
+import json
 import math
+import os
+import re
+import shutil
 import sys
+import threading
+from hashlib import blake2b
 
 import numpy as np
 import pytest
@@ -60,6 +69,56 @@ def _write(tmp_path, text, name="m.csv"):
     p = tmp_path / name
     p.write_bytes(text.encode("utf-8"))
     return p
+
+
+def _entry(p):
+    """Where a load of ``p`` caches what it parsed."""
+    return p.parent / ".softvote-cache" / f"{p.name}.entry"
+
+
+@pytest.fixture
+def convert_calls(monkeypatch):
+    """A list that gets the record count of every ``convert`` call a load makes."""
+    calls = []
+    read_table = ingest._read_table
+
+    def counting(path, header, kind, empty, convert, check_row, build):
+        def counted(records):
+            calls.append(len(records))
+            return convert(records)
+
+        return read_table(path, header, kind, empty, counted, check_row, build)
+
+    monkeypatch.setattr(ingest, "_read_table", counting)
+    return calls
+
+
+def _loaded(load):
+    """What ``load`` gives, comparable: (ids, value bytes), or (error class, message)."""
+    try:
+        loaded = load()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    values = loaded.probs if isinstance(loaded, PredictionSet) else loaded.labels
+    return loaded.sample_ids, values.tobytes()
+
+
+def _fails_alike_with_a_stale_entry(p, load, clean):
+    """The error ``load`` raises on ``p``: it writes no entry, and an entry
+    cached from the text ``clean`` at the same path changes nothing."""
+    bad = p.read_bytes()
+    with pytest.raises(ValidationError) as first:
+        load()
+    assert not _entry(p).exists()
+    p.write_bytes(clean.encode("utf-8"))
+    load()
+    stale = _entry(p).read_bytes()
+    p.write_bytes(bad)
+    with pytest.raises(ValidationError) as again:
+        load()
+    assert (type(again.value), str(again.value)) == (type(first.value), str(first.value))
+    assert _entry(p).read_bytes() == stale
+    return first.value
 
 
 class TestPinnedSemantics:
@@ -178,8 +237,8 @@ class TestPinnedSemantics:
     )
     def test_first_bad_row_is_reported(self, tmp_path, block_cells, body, message):
         p = _write(tmp_path, "sample_id,p0,p1\n" + body)
-        with pytest.raises(FormatError, match=message):
-            load_predictions(p, 2)
+        error = _fails_alike_with_a_stale_entry(p, lambda: load_predictions(p, 2), "sample_id,p0,p1\n" + CLEAN_ROWS)
+        assert isinstance(error, FormatError) and re.search(message, str(error))
 
     @pytest.mark.parametrize(
         "body, error, message",
@@ -196,8 +255,8 @@ class TestPinnedSemantics:
     )
     def test_first_bad_label_row_is_reported(self, tmp_path, block_cells, body, error, message):
         p = _write(tmp_path, "sample_id,label\n" + body, "l.csv")
-        with pytest.raises(error, match=message):
-            load_labels(p, 3)
+        raised = _fails_alike_with_a_stale_entry(p, lambda: load_labels(p, 3), "sample_id,label\na,0\nb,1\n")
+        assert type(raised) is error and re.search(message, str(raised))
 
     def test_bad_value_inside_an_otherwise_clean_block(self, tmp_path):
         # One block at the default size: every row has its cells, the
@@ -235,13 +294,16 @@ class TestPinnedSemantics:
         ids = tuple(f"s{i}" for i in range(40))
         write_predictions(PredictionSet("m", ids, rng.dirichlet(np.ones(2), size=40)), tmp_path / "m.csv")
         write_labels(LabeledSamples(ids, [i % 2 for i in range(40)]), tmp_path / "l.csv")
-        calls.clear()
-        assert load_predictions(tmp_path / "m.csv", 2).sample_ids == ids
         inside = ("softvote.core", "__post_init__", 40)
-        assert sorted(calls) == [("dup", *inside), ("row", *inside)]
-        calls.clear()
-        assert load_labels(tmp_path / "l.csv", 2).sample_ids == ids
-        assert calls == [("dup", *inside)]
+        # The second load of each file is served from its cache entry, and the
+        # constructor still checks it.
+        for _ in range(2):
+            calls.clear()
+            assert load_predictions(tmp_path / "m.csv", 2).sample_ids == ids
+            assert sorted(calls) == [("dup", *inside), ("row", *inside)]
+            calls.clear()
+            assert load_labels(tmp_path / "l.csv", 2).sample_ids == ids
+            assert calls == [("dup", *inside)]
 
     def test_labels_cells_parse_like_python_int(self, tmp_path, block_cells):
         p = _write(tmp_path, "sample_id,label\na, 2 \nb,+1\nc,٠\nd,0_1\n", "l.csv")
@@ -261,6 +323,88 @@ class TestUnreadableText:
         p = _write(tmp_path, f"sample_id,label\na,0\n{huge},1\n", "l.csv")
         with pytest.raises(FormatError, match="l\\.csv: row 3: field larger than field limit"):
             load_labels(p, 2)
+
+
+PREDICTIONS = "sample_id,p0,p1\na1,0.5,0.5\nb2,0.25,0.75\n"
+LABELS = "sample_id,label\na1,1\nb2,0\n"
+LOADS = {
+    "predictions": (PREDICTIONS, lambda p: load_predictions(p, 2)),
+    "labels": (LABELS, lambda p: load_labels(p, 2)),
+}
+
+
+def _rewritten_entry(entry, drop_rows=0):
+    """The bytes of ``entry`` less its last ``drop_rows`` value rows, with
+    its payload digest made to match."""
+    head, _, payload = entry.read_bytes().partition(b"\n")
+    meta = json.loads(head)
+    row = (len(payload) - meta["ids"]) // len(json.loads(payload[: meta["ids"]]))
+    payload = payload[: len(payload) - drop_rows * row]
+    meta["digest"] = blake2b(payload).hexdigest()
+    return json.dumps(meta).encode() + b"\n" + payload
+
+
+class TestLoadCache:
+    def test_each_file_gets_one_entry_beside_it(self, tmp_path):
+        for text, load in LOADS.values():
+            p = _write(tmp_path, text)
+            load(p)
+            load(p)
+        assert os.listdir(tmp_path / ".softvote-cache") == ["m.csv.entry"]
+        # _rewritten_entry reproduces an intact entry byte for byte.
+        assert _rewritten_entry(_entry(p)) == _entry(p).read_bytes()
+
+    @pytest.mark.parametrize("kind", LOADS)
+    def test_a_same_size_edit_with_the_old_mtime_is_seen(self, tmp_path, kind):
+        text, load = LOADS[kind]
+        p = _write(tmp_path, text)
+        assert load(p).sample_ids == ("a1", "b2")
+        before = p.stat()
+        p.write_bytes(text.replace("a1,", "a7,").encode("utf-8"))
+        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert (p.stat().st_size, p.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load(p).sample_ids == ("a7", "b2")
+
+    @pytest.mark.parametrize("kind", LOADS)
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda good: good[: len(good) // 2],
+            lambda good: good[:-1] + bytes([good[-1] ^ 1]),
+            None,  # one value row fewer than ids, with its own digest right
+            lambda good: b"\x00garbage\xff\n" * 3,
+        ],
+        ids=["truncated", "flipped", "wrong-shape", "garbage"],
+    )
+    def test_a_damaged_entry_is_parsed_around_and_rewritten(self, tmp_path, convert_calls, kind, damage):
+        text, load = LOADS[kind]
+        p = _write(tmp_path, text)
+        cold = _loaded(lambda: load(p))
+        entry = _entry(p)
+        good = entry.read_bytes()
+        entry.write_bytes(_rewritten_entry(entry, drop_rows=1) if damage is None else damage(good))
+        convert_calls.clear()
+        assert _loaded(lambda: load(p)) == cold
+        assert convert_calls == [2]
+        assert entry.read_bytes() == good
+
+    def test_a_file_in_place_of_the_cache_directory_only_costs_speed(self, tmp_path, convert_calls):
+        (tmp_path / ".softvote-cache").write_bytes(b"not a directory\n")
+        p = _write(tmp_path, PREDICTIONS)
+        for _ in range(2):
+            assert load_predictions(p, 2).probs.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert convert_calls == [2, 2]
+        assert (tmp_path / ".softvote-cache").read_bytes() == b"not a directory\n"
+
+    def test_a_pipe_is_read_but_not_cached(self, tmp_path):
+        pipe = tmp_path / "l.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(LABELS.encode("utf-8")), daemon=True)
+        writer.start()
+        assert load_labels(pipe, 2).labels.tolist() == [1, 0]
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert os.listdir(tmp_path) == ["l.csv"]
 
 
 class TestNonFiniteCells:
@@ -302,19 +446,26 @@ def prediction_sets(draw):
 class TestRoundTripProperty:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ps=prediction_sets(), block=st.sampled_from(BLOCK_SIZES))
-    def test_valid_sets_read_back_bit_identical(self, tmp_path, monkeypatch, ps, block):
+    def test_valid_sets_read_back_bit_identical(self, tmp_path, monkeypatch, convert_calls, ps, block):
+        # The second load of each file comes from the cache entry the first
+        # one wrote: the same ids and value bytes, with no cell parsed. An
+        # earlier example may have cached the same bytes, so start empty.
         _use_block(monkeypatch, block)
+        shutil.rmtree(tmp_path / ".softvote-cache", ignore_errors=True)
         p = tmp_path / "m.csv"
         write_predictions(ps, p)
-        again = load_predictions(p, ps.num_classes)
-        assert again.sample_ids == ps.sample_ids
-        assert again.probs.tobytes() == ps.probs.tobytes()
         labels = LabeledSamples(ps.sample_ids, [i % ps.num_classes for i in range(ps.num_samples)])
         lp = tmp_path / "l.csv"
         write_labels(labels, lp)
-        back = load_labels(lp, ps.num_classes)
-        assert back.sample_ids == labels.sample_ids
-        assert back.labels.tolist() == labels.labels.tolist()
+        for warm in (False, True):
+            convert_calls.clear()
+            again = load_predictions(p, ps.num_classes)
+            assert again.sample_ids == ps.sample_ids
+            assert again.probs.tobytes() == ps.probs.tobytes()
+            back = load_labels(lp, ps.num_classes)
+            assert back.sample_ids == labels.sample_ids
+            assert back.labels.tobytes() == labels.labels.tobytes()
+            assert (convert_calls == []) == warm
 
 
 csv_ish = st.text(
@@ -337,8 +488,9 @@ class TestArbitraryText:
                 (("sample_id,label\n" if with_header else "") + body).encode("utf-8", "surrogatepass")
             )
             try:
-                load()
-            except (ValidationError, OSError):
+                # A cold and a warm load: the same result or the same error.
+                assert _loaded(load) == _loaded(load)
+            except OSError:
                 pass
 
 
@@ -499,7 +651,9 @@ class TestMatchesRowReference:
             ps = load_predictions(p, c)
             return ps.sample_ids, ps.probs.tobytes()
 
-        assert _outcome(bulk) == _outcome(lambda: reference_load_predictions(p, c))
+        reference = _outcome(lambda: reference_load_predictions(p, c))
+        assert _outcome(bulk) == reference
+        assert _outcome(bulk) == reference  # from the cache entry when the first load wrote one
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), block=st.sampled_from(BLOCK_SIZES))
@@ -512,4 +666,6 @@ class TestMatchesRowReference:
             labels = load_labels(p, 3)
             return labels.sample_ids, labels.labels.tolist()
 
-        assert _outcome(bulk) == _outcome(lambda: reference_load_labels(p, 3))
+        reference = _outcome(lambda: reference_load_labels(p, 3))
+        assert _outcome(bulk) == reference
+        assert _outcome(bulk) == reference  # from the cache entry when the first load wrote one

@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import re
 
 import numpy as np
@@ -154,6 +156,26 @@ class TestRoundTrips:
         write_weights(weights, value, p2)
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(weights, [0.123456789, 0.5, 1.0])
+        # What read_weights refuses is never written: write_weights raises
+        # the error read_weights would raise, and leaves no file.
+        for weights, value, error, message in [
+            ([0.5, 0.5], -1.0, FormatError, "full_data_nll must be non-negative, got -1.0"),
+            ([0.5], math.nan, FormatError, "full_data_nll must be a finite number, got nan"),
+            ([0.5], 10**5000, FormatError, "full_data_nll must be a finite number, got an integer of 16610 bits"),
+            (
+                [[10**5000]],
+                0.5,
+                FormatError,
+                "weights[0] must be a finite number, got a list holding an integer too long to print",
+            ),
+            ([-1.0], 0.5, DegenerateWeightsError, "weights must be non-negative"),
+            ([], 0.5, FormatError, "weights must be a non-empty array"),
+        ]:
+            bad = tmp_path / "bad.json"
+            with pytest.raises(error) as info:
+                write_weights(weights, value, bad)
+            assert (type(info.value), str(info.value)) == (error, f"{bad}: {message}")
+            assert sorted(os.listdir(tmp_path)) == ["w1.json", "w2.json"]
 
     def test_report_round_trip(self, tmp_path):
         inputs = random_ensemble(np.random.default_rng(1), 3, 50, 4)

@@ -226,6 +226,28 @@ class TestEvaluationReportValidation:
                 sample_count=1,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("nll", 10**5000, "nll must be a non-negative real, got an integer of 16610 bits"),
+            ("nll", "0.5", "nll must be a non-negative real, got '0.5'"),
+            ("accuracy_percent", 10**5000, r"accuracy_percent out of \[0, 100\]: an integer of 16610 bits"),
+            ("accuracy_percent", "50", r"accuracy_percent out of \[0, 100\]: '50'"),
+        ],
+        ids=["nll-too-long", "nll-string", "accuracy-too-long", "accuracy-string"],
+    )
+    def test_rejects_a_value_no_float_holds_by_name(self, field, value, message):
+        values = dict(nll=0.5, accuracy_percent=100.0)
+        values[field] = value
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            EvaluationReport(
+                **values,
+                confusion=[[100.0]],
+                per_class_accuracy=[100.0],
+                classifier_names=("a",),
+                sample_count=1,
+            )
+
     def test_accepts_zero_rows(self):
         report = EvaluationReport(
             nll=0.2,
