@@ -68,7 +68,10 @@ def _first_invalid_row(probs: np.ndarray) -> tuple[int, str] | None:
     """
     outside = ((probs < 0.0) | (probs > 1.0)).any(axis=1)
     nan = np.isnan(probs).any(axis=1)
-    off = np.abs(probs.sum(axis=1) - 1.0)
+    # A row holding inf and -inf sums to NaN, and one of huge entries
+    # overflows; both are already outside [0, 1], so numpy need not warn.
+    with np.errstate(invalid="ignore", over="ignore"):
+        off = np.abs(probs.sum(axis=1) - 1.0)
     sum_bad = off > ROW_SUM_TOLERANCE
     margin = 2.0 * probs.shape[1] * np.finfo(np.float64).eps
     for row in np.flatnonzero(np.abs(off - ROW_SUM_TOLERANCE) <= margin):

@@ -45,13 +45,13 @@ check and one numpy call that parses every cell as ``float()`` or
 to the type's public constructor, ``PredictionSet`` or
 ``LabeledSamples``, which checks repeated ids and every row, once, over
 the whole file. If the parse or the constructor fails, a walk from the
-top explains it: the file is read again row by row, and the error names
-the file and its first bad row. A row is checked for the wrong cell count
-(an extra trailing cell included), then a repeated sample id, a cell
-that does not parse, and for predictions an entry outside [0, 1] (which
-catches infinities), a NaN entry ("non-finite probability") and a sum
-that misses 1 (decided by ``math.fsum``, as in ``PredictionSet``); for
-labels a value outside [0, C).
+top of the text already decoded names the file and its first bad row, so
+a pipe gets the same error as a file. A row is checked for the wrong cell
+count (an extra trailing cell included), then a repeated sample id, a
+cell that does not parse, and for predictions an entry outside [0, 1]
+(which catches infinities), a NaN entry ("non-finite probability") and a
+sum that misses 1 (decided by ``math.fsum``, as in ``PredictionSet``);
+for labels a value outside [0, C).
 
 Each load of a regular CSV file is cached in ``.softvote-cache/`` beside
 it, one entry per file, written only after ``build`` accepted the file.
@@ -183,35 +183,38 @@ def _decoded(path: str | Path, data: bytes) -> str:
 def _record_blocks(path: Path, text: str, size: int):
     """Split CSV text into lists of at most ``size`` records, as csv.reader does.
 
-    A blank line is the record ``[]``. Text with no quote character, no
-    NUL and no line longer than the csv field limit is split with
-    ``str.split``: csv.reader splits such a line at every comma, and
-    ends lines at CRLF, CR and LF just as ``open(newline="")`` does.
-    Anything else goes through csv.reader, whose errors become a
-    FormatError after the records before the bad one are yielded.
+    A blank line is the record ``[]``. Text with no quote and no NUL is
+    split with ``str.split``, a block of lines at a time, where csv.reader
+    would split it: at every comma, and at CRLF, CR and LF as
+    ``open(newline="")`` does. Other text goes through csv.reader. A cell
+    over the csv field limit, like any csv.reader error, is a FormatError
+    raised after the records before the bad one are yielded.
     """
-    lines = None
+    done = 0
     if '"' not in text and "\0" not in text:
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        if max(map(len, lines), default=0) > csv.field_size_limit():
-            lines = None
-    if lines is not None:
-        for start in range(0, len(lines), size):
-            yield [line.split(",") if line else [] for line in lines[start : start + size]]
+        limit, end = csv.field_size_limit(), 0
+        while end < len(text):
+            start = end
+            for _ in range(size):
+                end = text.find("\n", end) + 1 or len(text)
+            lines = text[start:end].removesuffix("\n").split("\n")
+            block = [line.split(",") if line else [] for line in lines]
+            for n, record in enumerate(block if max(map(len, lines)) > limit else []):
+                if max(map(len, record), default=0) > limit:
+                    yield block[:n]
+                    raise FormatError(f"{path}: row {done + n + 1}: field larger than field limit ({limit})")
+            yield block
+            done += len(block)
         return
-    done = 0
     block: list[list[str]] = []
     try:
         for record in csv.reader(io.StringIO(text, newline="")):
             block.append(record)
             if len(block) == size:
                 yield block
-                done += size
-                block = []
+                done, block = done + size, []
     except csv.Error as exc:
         yield block
         raise FormatError(f"{path}: row {done + len(block) + 1}: {exc}") from None
@@ -301,10 +304,9 @@ def _read_table(
     ``len(header)`` cells, and ``convert(records)`` turns their value cells
     into an array like ``empty`` or raises a ValueError. ``build``, the
     type's public constructor, then checks every row and the ids, once,
-    over the whole file. If the parse or ``build`` fails, the file is
-    walked again from the top, row by row, in the order of the module
-    docstring (``check_row(number, record)`` last), and its first bad row
-    raises.
+    over the whole file. If the parse or ``build`` fails, the same decoded
+    text is walked from the top, row by row, in the module docstring's
+    order (``check_row(number, record)`` last); its first bad row raises.
 
     A regular file's ids and values are cached once ``build`` accepts them,
     keyed by the file's bytes, ``header`` and ``kind``, which names
@@ -320,20 +322,20 @@ def _read_table(
             return build(*cached)
         except ValueError:  # an entry written by other means; parse the file
             pass
-    blocks = _table_blocks(path, header, _decoded(path, data))
-    del data  # the split holds the text; the bytes would be a second copy
+    text = _decoded(path, data)
+    del data  # the text is kept for the walk; the bytes would be a second copy
     try:
         ids: list[str] = []
         arrays: list[np.ndarray] = []
-        for _, records in blocks:
+        for _, records in _table_blocks(path, header, text):
             records = [record for record in records if record]
             if set(map(len, records)) - {len(header)}:
                 raise ValueError("wrong cell count")
             arrays.append(convert(records))
             ids.extend([record[0] for record in records])
         values = np.concatenate(arrays) if arrays else empty
-        # The text and its lines went with the finished generator; drop the
-        # last block's records and the block arrays before ``build`` copies.
+        # The split lines went with the finished generator; drop the last
+        # block's records and the block arrays before ``build`` copies.
         ids, arrays, records = tuple(ids), [], []
         result = build(ids, values)
     except (ValueError, OverflowError):  # ValidationError is a ValueError
@@ -343,7 +345,7 @@ def _read_table(
             _store(entry, key, ids, values)
         return result
     seen: dict[str, int] = {}
-    for number, records in _table_blocks(path, header, _decoded(path, _read_bytes(path))):
+    for number, records in _table_blocks(path, header, text):
         for n, record in enumerate(records, number):
             if not record:
                 continue
@@ -464,14 +466,14 @@ def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
     _write_text(path, _csv_text(header, predictions.sample_ids, predictions.probs))
 
 
-def load_labels(path: str | Path, num_classes: int | None = None) -> LabeledSamples:
+def load_labels(path: str | Path, num_classes: int) -> LabeledSamples:
     path = Path(path)
 
     def convert(records):
         # np.array parses each cell with int(). LabeledSamples does not know
         # the class count, so the range is checked here.
         labels = np.array([record[1] for record in records], dtype=np.int64)
-        if labels.min(initial=0) < 0 or (num_classes is not None and labels.max(initial=0) >= num_classes):
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
             raise ValueError("label outside [0, num_classes)")
         return labels
 
@@ -480,10 +482,8 @@ def load_labels(path: str | Path, num_classes: int | None = None) -> LabeledSamp
             label = int(record[1])
         except ValueError:
             raise FormatError(f"{path}: row {number}: non-integer label {record[1]!r}") from None
-        limit = num_classes if num_classes is not None else 2**63  # what int64 holds
-        if not 0 <= label < limit:
-            bound = num_classes if num_classes is not None else "inf"
-            raise LabelRangeError(f"{path}: row {number}: label {label} outside [0, {bound})")
+        if not 0 <= label < num_classes:
+            raise LabelRangeError(f"{path}: row {number}: label {label} outside [0, {num_classes})")
 
     empty = np.empty(0, dtype=np.int64)
     return _read_table(path, ["sample_id", "label"], f"labels {num_classes}", empty, convert, check_row, LabeledSamples)

@@ -1,7 +1,10 @@
 import copy
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import softvote
 from softvote import (
     EnsembleInputs,
     GAConfig,
@@ -677,6 +681,44 @@ class TestMalformedInputsExitOne:
             result = runner.invoke(cli, [command, "--manifest", str(bundle), "--weights", str(weights)])
             assert result.exit_code == 1
             assert result.stderr == f"error: {weights}: weights[0] must be a finite number, got True\n"
+
+
+def _run_softvote(args, flags=(), stdin=b""):
+    """The CLI run as its own Python process, fed ``stdin`` through a pipe; fails after a minute."""
+    env = dict(os.environ, PYTHONPATH=str(Path(softvote.__file__).parents[1]))
+    command = [sys.executable, *flags, "-m", "softvote.cli", *args]
+    return subprocess.run(command, input=stdin, capture_output=True, env=env, timeout=60)
+
+
+def _one_classifier_bundle(tmp_path, predictions_path):
+    """A 2-class manifest listing one classifier at ``predictions_path`` and a one-row labels file."""
+    (tmp_path / "labels.csv").write_text("sample_id,label\ns1,0\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    classifiers = [{"name": "m", "path": predictions_path}]
+    manifest.write_text(
+        json.dumps({"num_classes": 2, "class_names": ["a", "b"], "classifiers": classifiers, "labels": "labels.csv"}),
+        encoding="utf-8",
+    )
+    return manifest
+
+
+class TestSubprocess:
+    def test_inf_and_minus_inf_row_under_warnings_as_errors(self, tmp_path):
+        # Such a row sums to NaN; numpy must not warn about it, or -W error
+        # turns the warning into a traceback.
+        (tmp_path / "m.csv").write_text("sample_id,p0,p1\ns1,inf,-inf\n", encoding="utf-8")
+        manifest = _one_classifier_bundle(tmp_path, "m.csv")
+        result = _run_softvote(["evaluate", "--manifest", str(manifest)], flags=["-W", "error"])
+        assert result.returncode == 1
+        assert result.stderr.decode() == f"error: {tmp_path / 'm.csv'}: row 2: probability outside [0, 1]\n"
+
+    def test_bad_row_piped_to_dev_stdin_names_its_row(self, tmp_path):
+        # A pipe can be read once; the row error comes from the text that read gave.
+        manifest = _one_classifier_bundle(tmp_path, "/dev/stdin")
+        bad = b"sample_id,p0,p1\ns1,0.5,0.5\ns2,0.7,0.7\n"
+        result = _run_softvote(["evaluate", "--manifest", str(manifest)], stdin=bad)
+        assert result.returncode == 1
+        assert re.fullmatch(r"error: /dev/stdin: row 3: probabilities sum to 1\.4 \(.*\)\n", result.stderr.decode())
 
 
 # Values a fuzzed JSON document gets in place of one of its values, or under

@@ -7,7 +7,8 @@ arbitrary text raises only ``ValidationError`` or ``OSError``, and that
 fuzzed CSV text gives exactly what a row-at-a-time reference reader gives.
 Each of them loads twice, so the second load, served from the entry that
 the first one cached, must give the same result. ``TestLoadCache`` pins
-when that cache is used, written and refused.
+when that cache is used, written and refused, and that a failed load
+reads its file once, so a pipe fails as a regular file does.
 """
 
 import csv
@@ -228,6 +229,7 @@ class TestPinnedSemantics:
             ("s1,0.5,0.5\ns2,1.5,abc\n", "row 3: non-numeric probability 'abc'"),
             ("s1,0.5,0.5\ns2,x,y\n", "row 3: non-numeric probability 'x'"),
             ("s1,0.5,0.5\ns2,2.0,-1.0\n", r"row 3: probability outside \[0, 1\]"),
+            ("s1,0.5,0.5\ns2,inf,-inf\n", r"row 3: probability outside \[0, 1\]"),
             ("s1,0.5,0.5\ns2,0.5,0.5\ns3,0.5,0.5\ns4,0.5,0.4\ns5,0.5\n", "row 5: probabilities sum"),
             # faults only the constructor sees: an id repeated across blocks,
             # a bad sum in the last block
@@ -324,6 +326,14 @@ class TestUnreadableText:
         with pytest.raises(FormatError, match="l\\.csv: row 3: field larger than field limit"):
             load_labels(p, 2)
 
+    def test_line_over_the_csv_limit_with_short_cells_is_read(self, tmp_path, block_cells):
+        # csv.reader limits each field, not each line.
+        c = csv.field_size_limit() // 3
+        header = "sample_id," + ",".join(f"p{i}" for i in range(c))
+        p = _write(tmp_path, f"{header}\na,1.0{',0.0' * (c - 1)}\n")
+        assert len(p.read_text(encoding="utf-8").splitlines()[1]) > csv.field_size_limit()
+        assert load_predictions(p, c).probs[0, :2].tolist() == [1.0, 0.0]
+
 
 PREDICTIONS = "sample_id,p0,p1\na1,0.5,0.5\nb2,0.25,0.75\n"
 LABELS = "sample_id,label\na1,1\nb2,0\n"
@@ -406,6 +416,65 @@ class TestLoadCache:
         assert not writer.is_alive()
         assert os.listdir(tmp_path) == ["l.csv"]
 
+    @pytest.mark.parametrize("kind, row", [("predictions", "c3,0.7,0.7\n"), ("labels", "c3,5\n")])
+    def test_a_bad_row_in_a_pipe_fails_as_in_a_file(self, tmp_path, kind, row):
+        text, load = LOADS[kind]
+        p = _write(tmp_path, text + row)
+        in_file = _loaded(lambda: load(p))
+        assert re.search(": row 4: ", in_file[1])
+        p.unlink()
+        stop = _fed_fifo(p, (text + row).encode("utf-8"))
+        try:
+            assert _loaded(lambda: load(p)) == in_file
+        finally:
+            stop()
+
+    @pytest.mark.parametrize("kind, row", [("predictions", "c3,0.7,0.7\n"), ("labels", "c3,5\n")])
+    def test_a_failed_load_reads_the_file_once(self, tmp_path, monkeypatch, kind, row):
+        text, load = LOADS[kind]
+        p = _write(tmp_path, text + row)
+        reads = []
+        read_bytes = ingest._read_bytes
+
+        def counting(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(ingest, "_read_bytes", counting)
+        with pytest.raises(ValidationError, match=": row 4: "):
+            load(p)
+        assert reads.count(p) == 1
+
+
+def _fed_fifo(path, data):
+    """Make ``path`` a FIFO that a thread feeds ``data`` once; returns a function that stops the thread.
+
+    A load that opened the FIFO a second time would block for ever. So a
+    few seconds after feeding it, the thread opens it for writing and
+    closes it again, and such a load reads no text and fails on its header.
+    """
+    os.mkfifo(path)
+    stopped = threading.Event()
+
+    def feed():
+        path.write_bytes(data)
+        stopped.wait(3)
+        while not stopped.is_set():
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader has it open yet
+                stopped.wait(0.05)
+
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+
+    def stop():
+        stopped.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    return stop
+
 
 class TestNonFiniteCells:
     @pytest.mark.parametrize("cell", ["nan", "NaN", "-nan"])
@@ -423,6 +492,11 @@ class TestNonFiniteCells:
     def test_in_memory_nan_names_the_row(self):
         with pytest.raises(ValidationError, match="m: row 1: non-finite probability"):
             PredictionSet("m", ("a", "b"), [[0.5, 0.5], [math.nan, 1.0]])
+
+    def test_in_memory_inf_and_minus_inf_names_the_row(self):
+        # Their sum is NaN; the row is reported without a numpy warning.
+        with pytest.raises(ValidationError, match=r"m: row 1: probability outside \[0, 1\]"):
+            PredictionSet("m", ("a", "b"), [[0.5, 0.5], [math.inf, -math.inf]])
 
 
 sample_ids = st.lists(st.text(max_size=6), min_size=1, max_size=12, unique=True)
