@@ -178,7 +178,7 @@ def report_cmd(report_path: str, manifest_path: str | None, out: str, fmt: str) 
                 f"but {report_path} has {report.num_classes} classes"
             )
     elif report.num_classes == len(ingest.DEFAULT_CLASS_NAMES):
-        class_names = ingest.default_class_names()
+        class_names = ingest.DEFAULT_CLASS_NAMES
     else:
         class_names = None
     _emit([ingest.render_report_table(report, class_names)], out)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .errors import (
     DimensionError,
     LabelRangeError,
     ValidationError,
+    _shown,
 )
 
 # Input rows must be probability distributions to this absolute tolerance.
@@ -41,6 +43,17 @@ ROW_SUM_TOLERANCE = 1e-6
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _strings(values: Iterable, what: str) -> tuple[str, ...]:
+    """``values`` as a tuple; a ``str`` itself, or an item that is not one, is a ValidationError."""
+    if isinstance(values, str):
+        raise ValidationError(f"{what} must be a sequence of strings, got {_shown(values)}")
+    values = tuple(values)
+    if not all(map(isinstance, values, repeat(str))):  # C speed: a load checks every sample id
+        i, bad = next((i, v) for i, v in enumerate(values) if not isinstance(v, str))
+        raise ValidationError(f"{what}[{i}] must be a string, got {_shown(bad)}")
+    return values
 
 
 def _first_duplicate(ids: Sequence[str]) -> str | None:
@@ -95,7 +108,8 @@ class PredictionSet:
     ``probs`` is an (S, C) float64 matrix. Every row must be a probability
     distribution: entries in [0, 1] whose exact sum is 1 within
     :data:`ROW_SUM_TOLERANCE` (see :func:`_first_invalid_row`, which the
-    CSV loader shares). Sample ids must be unique.
+    CSV loader shares). The name and the sample ids must be ``str``, and
+    the ids unique.
     """
 
     classifier_name: str
@@ -103,9 +117,11 @@ class PredictionSet:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        probs = np.array(self.probs, dtype=np.float64)
         name = self.classifier_name
+        if not isinstance(name, str):
+            raise ValidationError(f"classifier_name must be a string, got {_shown(name)}")
+        object.__setattr__(self, "sample_ids", _strings(self.sample_ids, f"{name}: sample_ids"))
+        probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 2:
             raise DimensionError(f"{name}: probabilities must be 2-D, got shape {probs.shape}")
         if probs.shape[1] < 1:
@@ -134,13 +150,13 @@ class PredictionSet:
 
 @dataclass(frozen=True, eq=False)
 class LabeledSamples:
-    """Ground-truth class indices keyed by sample id, in a fixed order."""
+    """Ground-truth class indices keyed by unique ``str`` sample ids, in a fixed order."""
 
     sample_ids: tuple[str, ...]
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
+        object.__setattr__(self, "sample_ids", _strings(self.sample_ids, "labels: sample_ids"))
         labels = np.array(self.labels, dtype=np.int64)
         if labels.ndim != 1:
             raise DimensionError(f"labels must be 1-D, got shape {labels.shape}")

@@ -39,12 +39,12 @@ default dialect: a cell may be quoted (so an id may hold commas, quotes
 or line breaks), LF, CRLF and CR all end a row, and blank rows are
 skipped. Row numbers count records from the header's 1, blank ones
 included. The first pass only parses: per block of rows, a cell-count
-check and one numpy call that parses every cell as ``float()`` or
-``int()`` would, plus the [0, C) range for labels, which
-``LabeledSamples`` cannot check without C. The ids and the array then go
-to the type's public constructor, ``PredictionSet`` or
-``LabeledSamples``, which checks repeated ids and every row, once, over
-the whole file. If the parse or the constructor fails, a walk from the
+check and one numpy call (``_convert``) that parses every cell as
+``float()`` or ``int()`` would. The loader's ``build`` then checks the
+[0, C) range of labels, which ``LabeledSamples`` cannot check without C,
+and calls the type's public constructor, ``PredictionSet`` or
+``LabeledSamples``, which checks the ids and every row, once, over the
+whole file. If the parse or ``build`` fails, a walk from the
 top of the text already decoded names the file and its first bad row, so
 a pipe gets the same error as a file. A row is checked for the wrong cell
 count (an extra trailing cell included), then a repeated sample id, a
@@ -58,13 +58,14 @@ it, one entry per file, written only after ``build`` accepted the file.
 An entry holds one JSON line (the key, a BLAKE2b digest of the payload
 and the byte count of its ids), then the payload: the sample ids as a
 JSON array and the values as raw little-endian float64 or int64. The key
-is a BLAKE2b digest of the file's exact bytes, the header, the file kind
-with its class count, and ``_CACHE_FORMAT``; no file time or size is
-part of it. A load whose key matches an intact entry skips the parse and
-passes the cached ids and values to ``build``, so every row and id is
-checked as on a first load. Any other entry is ignored and the file is
-parsed, and a failed write of an entry is ignored, so the cache changes
-no result and no error.
+is a BLAKE2b digest of the file's exact bytes, the header, the value
+dtype and ``_CACHE_FORMAT``; no file time, size or class count is part
+of it, so one labels entry serves every C. A load whose key matches an
+intact entry skips the parse and passes the cached ids and values to
+``build``, so every row, id and label range is checked as on a first
+load. Any other entry is ignored and the file is parsed, and a failed
+write of an entry is ignored, so the cache changes no result and no
+error.
 """
 
 from __future__ import annotations
@@ -110,11 +111,6 @@ DEFAULT_CLASS_NAMES = (
     "hair and makeup",
     "talk to passenger",
 )
-
-
-def default_class_names() -> list[str]:
-    """The default 10-class driver-posture label set, index 0 through 9."""
-    return list(DEFAULT_CLASS_NAMES)
 
 
 @dataclass(frozen=True)
@@ -242,37 +238,32 @@ def _table_blocks(path: Path, header: list[str], text: str) -> Iterator[tuple[in
 
 # Part of every cache key: a change to the entry layout or to what a parse
 # accepts or returns must change it, so that older entries stop matching.
-_CACHE_FORMAT = "softvote-cache 1"
+_CACHE_FORMAT = "softvote-cache 2"
 _CACHE_DIR = ".softvote-cache"
 _ENTRY_SCHEMA = {"key": str, "digest": str, "ids": int}
 
 
-def _cache_key(data: bytes, header: list[str], kind: str) -> str:
+def _cache_key(data: bytes, header: list[str], dtype: type) -> str:
     """A digest of a CSV's exact bytes and of everything its parse depends on."""
-    digest = blake2b(json.dumps([_CACHE_FORMAT, kind, header]).encode() + b"\0")
+    digest = blake2b(json.dumps([_CACHE_FORMAT, header, np.dtype(dtype).str]).encode() + b"\0")
     digest.update(data)
     return digest.hexdigest()
 
 
-def _cached(entry: Path, key: str, empty: np.ndarray) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """The ids and values that ``entry`` holds for ``key``; None if it is missing, stale or damaged.
-
-    The entry's layout is in the module docstring; its values have the
-    dtype and the trailing shape of ``empty``.
-    """
+def _cached(entry: Path, key: str, dtype: type, width: int) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The ids and (rows, ``width``) values ``entry`` holds for ``key``; None if it is missing, stale or damaged."""
     try:
         head, _, payload = _read_bytes(entry).partition(b"\n")
         meta = _typed(json.loads(head), _ENTRY_SCHEMA, entry, "cache entry")
         if meta["key"] != key or blake2b(payload).hexdigest() != meta["digest"]:
             return None
         ids = json.loads(payload[: meta["ids"]])
-        values = np.frombuffer(payload, empty.dtype.newbyteorder("<"), offset=meta["ids"])
-        values = values.reshape((-1, *empty.shape[1:]))
+        values = np.frombuffer(payload, np.dtype(dtype).newbyteorder("<"), offset=meta["ids"])
+        values = values.reshape(-1, width)
     except (OSError, ValueError, RecursionError):
         return None
-    if not (isinstance(ids, list) and all(isinstance(sid, str) for sid in ids)):
-        return None
-    return tuple(ids), values
+    # The ids' types are checked by ``build``, which every hit runs.
+    return (tuple(ids), values) if isinstance(ids, list) else None
 
 
 def _store(entry: Path, key: str, ids: tuple[str, ...], values: np.ndarray) -> None:
@@ -289,38 +280,39 @@ def _store(entry: Path, key: str, ids: tuple[str, ...], values: np.ndarray) -> N
         pass
 
 
+def _convert(records: list[list[str]], dtype: type, width: int) -> np.ndarray:
+    """The value cells of ``records`` as a (rows, ``width``) array; np.array parses each as ``dtype`` does."""
+    return np.array([record[1:] for record in records], dtype=dtype).reshape(-1, width)
+
+
 def _read_table(
     path: Path,
     header: list[str],
-    kind: str,
-    empty: np.ndarray,
-    convert: Callable[[list[list[str]]], np.ndarray],
+    dtype: type,
     check_row: Callable[[int, list[str]], None],
     build: Callable[[tuple[str, ...], np.ndarray], PredictionSet | LabeledSamples],
 ) -> PredictionSet | LabeledSamples:
-    """``build(ids, values)`` on the sample ids and converted value cells of a headed CSV.
+    """``build(ids, values)`` on the sample ids and value cells of a headed CSV.
 
-    The first pass only parses: each block's non-blank rows must have
-    ``len(header)`` cells, and ``convert(records)`` turns their value cells
-    into an array like ``empty`` or raises a ValueError. ``build``, the
-    type's public constructor, then checks every row and the ids, once,
-    over the whole file. If the parse or ``build`` fails, the same decoded
-    text is walked from the top, row by row, in the module docstring's
-    order (``check_row(number, record)`` last); its first bad row raises.
+    The first pass only parses: rows of ``len(header)`` cells, whose value
+    cells ``_convert`` turns into a (rows, ``len(header) - 1``) ``dtype``
+    array. If the parse or ``build`` fails, the same decoded text is walked
+    from the top in the module docstring's order (``check_row(number,
+    record)`` last); its first bad row raises.
 
     A regular file's ids and values are cached once ``build`` accepts them,
-    keyed by the file's bytes, ``header`` and ``kind``, which names
-    whatever else ``convert`` depends on. A load that finds its entry skips
-    the parse and hands the cached ids and values to ``build``.
+    keyed by its bytes, ``header`` and ``dtype``: all that the parse reads.
+    A hit skips the parse and still hands the ids and values to ``build``.
     """
+    width = len(header) - 1
     data = _read_bytes(path)
-    key = _cache_key(data, header, kind)
+    key = _cache_key(data, header, dtype)
     entry = path.parent / _CACHE_DIR / f"{path.name}.entry" if path.is_file() else None
-    cached = _cached(entry, key, empty) if entry is not None else None
+    cached = _cached(entry, key, dtype, width) if entry is not None else None
     if cached is not None:
         try:
             return build(*cached)
-        except ValueError:  # an entry written by other means; parse the file
+        except ValueError:  # such as a label past this C; the walk names its row
             pass
     text = _decoded(path, data)
     del data  # the text is kept for the walk; the bytes would be a second copy
@@ -331,9 +323,9 @@ def _read_table(
             records = [record for record in records if record]
             if set(map(len, records)) - {len(header)}:
                 raise ValueError("wrong cell count")
-            arrays.append(convert(records))
+            arrays.append(_convert(records, dtype, width))
             ids.extend([record[0] for record in records])
-        values = np.concatenate(arrays) if arrays else empty
+        values = np.concatenate(arrays)  # the header's block gives one array at least
         # The split lines went with the finished generator; drop the last
         # block's records and the block arrays before ``build`` copies.
         ids, arrays, records = tuple(ids), [], []
@@ -437,10 +429,6 @@ def load_predictions(path: str | Path, num_classes: int, name: str | None = None
     if num_classes < 1:
         raise ValidationError("num_classes must be >= 1")
 
-    def convert(records):
-        # np.array parses each cell with float().
-        return np.array([record[1:] for record in records], dtype=np.float64).reshape(-1, num_classes)
-
     def check_row(number, record):
         values = []
         for cell in record[1:]:
@@ -457,8 +445,7 @@ def load_predictions(path: str | Path, num_classes: int, name: str | None = None
         # module's attribute sees the call.
         return PredictionSet(name if name is not None else path.stem, ids, probs)
 
-    empty = np.empty((0, num_classes))
-    return _read_table(path, _prob_columns(num_classes), f"predictions {num_classes}", empty, convert, check_row, build)
+    return _read_table(path, _prob_columns(num_classes), np.float64, check_row, build)
 
 
 def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
@@ -469,14 +456,6 @@ def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
 def load_labels(path: str | Path, num_classes: int) -> LabeledSamples:
     path = Path(path)
 
-    def convert(records):
-        # np.array parses each cell with int(). LabeledSamples does not know
-        # the class count, so the range is checked here.
-        labels = np.array([record[1] for record in records], dtype=np.int64)
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
-            raise ValueError("label outside [0, num_classes)")
-        return labels
-
     def check_row(number, record):
         try:
             label = int(record[1])
@@ -485,8 +464,13 @@ def load_labels(path: str | Path, num_classes: int) -> LabeledSamples:
         if not 0 <= label < num_classes:
             raise LabelRangeError(f"{path}: row {number}: label {label} outside [0, {num_classes})")
 
-    empty = np.empty(0, dtype=np.int64)
-    return _read_table(path, ["sample_id", "label"], f"labels {num_classes}", empty, convert, check_row, LabeledSamples)
+    def build(ids, labels):
+        # LabeledSamples has no class count. One entry serves every C, so a hit is checked too.
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
+            raise ValueError("label outside [0, num_classes)")
+        return LabeledSamples(ids, labels[:, 0])
+
+    return _read_table(path, ["sample_id", "label"], np.int64, check_row, build)
 
 
 def write_labels(labels: LabeledSamples, path: str | Path) -> None:
@@ -713,19 +697,8 @@ def render_report_table(report: EvaluationReport, class_names: Sequence[str] | N
     return "\n".join(lines) + "\n"
 
 
-def write_report(
-    report: EvaluationReport,
-    path: str | Path,
-    format: str = "json",
-    class_names: Sequence[str] | None = None,
-) -> None:
-    if format == "json":
-        text = report_to_json(report)
-    elif format == "table":
-        text = render_report_table(report, class_names)
-    else:
-        raise ValidationError(f"unknown report format {format!r} (want json or table)")
-    _write_text(path, [text])
+def write_report(report: EvaluationReport, path: str | Path) -> None:
+    _write_text(path, [report_to_json(report)])
 
 
 # ------------------------------------------------------------ config files
@@ -786,21 +759,16 @@ def _safe_filename(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
-def write_ensemble(
-    inputs: EnsembleInputs,
-    out_dir: str | Path,
-    class_names: Sequence[str] | None = None,
-) -> Path:
+def write_ensemble(inputs: EnsembleInputs, out_dir: str | Path) -> Path:
     """Materialize an ensemble as prediction CSVs, labels CSV, and manifest.
 
-    Returns the manifest path. With no explicit names, 10-class ensembles
-    get the default posture names and anything else gets ``class_0``...
+    Returns the manifest path. 10-class ensembles get the default posture
+    names and anything else gets ``class_0``...
     """
-    if class_names is None:
-        if inputs.num_classes == len(DEFAULT_CLASS_NAMES):
-            class_names = default_class_names()
-        else:
-            class_names = [f"class_{i}" for i in range(inputs.num_classes)]
+    if inputs.num_classes == len(DEFAULT_CLASS_NAMES):
+        class_names = DEFAULT_CLASS_NAMES
+    else:
+        class_names = tuple(f"class_{i}" for i in range(inputs.num_classes))
     # Every file name is resolved and the manifest checked before any file
     # is written, so a clash leaves no partial bundle behind.
     used = {"labels.csv"}
@@ -813,7 +781,7 @@ def write_ensemble(
         entries.append(ManifestEntry(name=ps.classifier_name, path=filename))
     manifest = Manifest(
         num_classes=inputs.num_classes,
-        class_names=tuple(class_names),
+        class_names=class_names,
         classifiers=tuple(entries),
         labels_path="labels.csv",
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .core import (
     EnsembleInputs,
     LabeledSamples,
     _frozen,
+    _strings,
     argmax_classes,
     fuse_majority,
     fuse_weighted,
@@ -189,7 +190,7 @@ class EvaluationReport:
     sample_count: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "classifier_names", tuple(self.classifier_names))
+        object.__setattr__(self, "classifier_names", _strings(self.classifier_names, "classifier_names"))
         conf = np.array(self.confusion, dtype=np.float64)
         if conf.ndim != 2 or conf.shape[0] != conf.shape[1] or conf.shape[0] == 0:
             raise DimensionError(f"confusion matrix must be square, got shape {conf.shape}")
@@ -203,16 +204,19 @@ class EvaluationReport:
         if not np.all(ok):
             row = int(np.argmax(~ok))
             raise ValidationError(f"confusion row {row} sums to {sums[row]!r}, want 100 or 0")
+        loss, percent, count = self.nll, self.accuracy_percent, self.sample_count
         try:
-            nll_ok = isinstance(self.nll, Real) and math.isfinite(self.nll) and self.nll >= 0.0
+            loss_ok = isinstance(loss, Real) and not isinstance(loss, bool) and math.isfinite(loss) and loss >= 0.0
         except OverflowError:  # an integer beyond the float range
-            nll_ok = False
-        if not nll_ok:
-            raise ValidationError(f"nll must be a non-negative real, got {_shown(self.nll)}")
+            loss_ok = False
+        if not loss_ok:
+            raise ValidationError(f"nll must be a non-negative real, got {_shown(loss)}")
         # Compared without float(), which overflows on a huge integer.
-        if not (isinstance(self.accuracy_percent, Real) and 0.0 <= self.accuracy_percent <= 100.0):
-            raise ValidationError(f"accuracy_percent out of [0, 100]: {_shown(self.accuracy_percent)}")
-        if self.sample_count < 0:
+        if not (isinstance(percent, Real) and not isinstance(percent, bool) and 0.0 <= percent <= 100.0):
+            raise ValidationError(f"accuracy_percent out of [0, 100]: {_shown(percent)}")
+        if not isinstance(count, Integral) or isinstance(count, bool):
+            raise ValidationError(f"sample_count must be an integer, got {_shown(count)}")
+        if count < 0:
             raise ValidationError("sample_count must be non-negative")
         object.__setattr__(self, "nll", float(self.nll))
         object.__setattr__(self, "accuracy_percent", float(self.accuracy_percent))

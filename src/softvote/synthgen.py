@@ -29,6 +29,8 @@ from .errors import ConfigError, OracleScopeError, ValidationError, _shown
 from .rng import check_seed, make_rng
 
 ORACLE_MAX_CLASSIFIERS = 3
+# The oracle scores its grid as one population, of at most ga.MAX_POPULATION_SIZE rows.
+_ORACLE_MAX_POINTS = 100_000
 
 # Upper limits on a spec's counts. ``generate`` holds a string id per sample
 # and one (num_samples, num_classes) float64 array per profile, so a larger
@@ -131,16 +133,21 @@ def brute_force_weights(
     Enumerates every weight vector with coordinates k/M (M =
     round(1/grid_step)) summing to 1 and returns the one with the lowest
     full-data NLL, ties to the lexicographically smallest vector. Only
-    tractable for small ensembles (N <= 3).
+    tractable for small ensembles: N <= 3 and at most 100 000 grid points.
     """
     n = inputs.n_classifiers
     if n > ORACLE_MAX_CLASSIFIERS:
         raise OracleScopeError(
             f"exhaustive search supports at most {ORACLE_MAX_CLASSIFIERS} classifiers, got {n}"
         )
-    if not 0.0 < grid_step <= 0.5:
+    if not (isinstance(grid_step, Real) and not isinstance(grid_step, bool) and 0.0 < grid_step <= 0.5):
         raise ValidationError(f"grid_step must be in (0, 0.5], got {_shown(grid_step)}")
-    divisions = round(1.0 / grid_step)
+    # 1 / grid_step is inf for a subnormal step, which round() refuses.
+    divisions = round(min(1.0 / grid_step, _ORACLE_MAX_POINTS))
+    if math.comb(divisions + n - 1, n - 1) > _ORACLE_MAX_POINTS:  # M + 1 points at n = 2
+        raise OracleScopeError(
+            f"grid_step {_shown(grid_step)} gives more than {_ORACLE_MAX_POINTS} grid points for {n} classifiers"
+        )
     grid = np.array(list(_simplex_grid(n, divisions)), dtype=np.float64) / divisions
     values = metrics._population_nll(grid, metrics._true_class_probs(inputs))
     best = int(np.argmin(values))  # first minimum: the lexicographically smallest

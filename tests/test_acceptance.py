@@ -294,8 +294,8 @@ def test_format_round_trips(tmp_path):
             sample_count=int(total),
         )
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        write_report(report, r1, format="json")
-        write_report(read_report(r1), r2, format="json")
+        write_report(report, r1)
+        write_report(read_report(r1), r2)
         assert r1.read_bytes() == r2.read_bytes()
 
 

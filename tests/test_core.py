@@ -17,10 +17,14 @@ from softvote import (
     argmax_classes,
     as_weights,
     brute_force_weights,
+    confusion_matrix,
     evaluate,
     fuse_majority,
     fuse_weighted,
+    load_predictions,
+    nll,
     run_ga,
+    write_predictions,
 )
 
 from conftest import build_ensemble, random_ensemble
@@ -55,6 +59,27 @@ class TestPredictionSet:
     def test_rejects_non_matrix(self):
         with pytest.raises(DimensionError):
             PredictionSet("m", ("a",), [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PredictionSet(7, ("a",), [[1.0]]), "classifier_name must be a string, got 7"),
+            (lambda: PredictionSet("m", [1, 2], [[1.0], [1.0]]), "m: sample_ids[0] must be a string, got 1"),
+            (lambda: PredictionSet("m", ("a", ["b"]), [[1.0], [1.0]]), "m: sample_ids[1] must be a string, got ['b']"),
+            (lambda: PredictionSet("m", "ab", [[1.0], [1.0]]), "m: sample_ids must be a sequence of strings, got 'ab'"),
+            (lambda: LabeledSamples(("a", b"b"), [0, 1]), "labels: sample_ids[1] must be a string, got b'b'"),
+        ],
+        ids=["name", "int-ids", "list-id", "string-ids", "bytes-label-id"],
+    )
+    def test_names_and_sample_ids_must_be_strings(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert (type(info.value), str(info.value)) == (ValidationError, message)
+
+    def test_numpy_string_ids_are_strings(self, tmp_path):
+        ps = PredictionSet("m", np.array(["a", "b"]), [[1.0], [1.0]])
+        write_predictions(ps, tmp_path / "m.csv")
+        assert load_predictions(tmp_path / "m.csv", 1).sample_ids == ("a", "b")
 
 
 class TestEnsembleInputs:
@@ -335,3 +360,48 @@ def test_as_weights_returns_frozen_copy():
     assert not w.flags.writeable
     with pytest.raises(DimensionError):
         as_weights([[1.0, 2.0]], 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: load_predictions("m.csv", 0), ValidationError, "num_classes must be >= 1"),
+        (lambda: PredictionSet("m", (), np.empty((0, 0))), DimensionError, "m: need at least one class column"),
+        (lambda: LabeledSamples(("a",), [[0]]), DimensionError, "labels must be 1-D, got shape (1, 1)"),
+        (lambda: LabeledSamples(("a",), [-1]), LabelRangeError, "labels must be non-negative"),
+        (
+            lambda: build_ensemble([[[1.0]]], [0]).subset([]),
+            ValidationError,
+            "subset needs at least one classifier name",
+        ),
+        (lambda: argmax_classes(np.ones(2)), DimensionError, "fused distributions must form an (S, C) matrix"),
+        (lambda: nll(np.ones(2), [0, 1]), DimensionError, "fused distributions must form an (S, C) matrix"),
+        (
+            lambda: nll(np.full((1, 2), 0.5), LabeledSamples(("a",), [2])),
+            LabelRangeError,
+            "labels must lie in [0, 2)",
+        ),
+        (lambda: nll(np.full((1, 2), 0.5), [[0]]), DimensionError, "labels must be 1-D, got shape (1, 1)"),
+        (
+            lambda: confusion_matrix(np.full((1, 2), 0.5), [0], 0),
+            DimensionError,
+            "num_classes must be >= 1",
+        ),
+    ],
+    ids=[
+        "load-no-classes",
+        "no-class-column",
+        "labels-2d",
+        "labels-negative",
+        "subset-empty",
+        "argmax-vector",
+        "nll-vector",
+        "nll-labeled-samples-range",
+        "nll-labels-2d",
+        "confusion-no-classes",
+    ],
+)
+def test_each_error_path_raises_its_class_and_message(call, error, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -79,18 +79,15 @@ def _entry(p):
 
 @pytest.fixture
 def convert_calls(monkeypatch):
-    """A list that gets the record count of every ``convert`` call a load makes."""
+    """A list that gets the record count of every ``_convert`` call a load makes."""
     calls = []
-    read_table = ingest._read_table
+    convert = ingest._convert
 
-    def counting(path, header, kind, empty, convert, check_row, build):
-        def counted(records):
-            calls.append(len(records))
-            return convert(records)
+    def counting(records, dtype, width):
+        calls.append(len(records))
+        return convert(records, dtype, width)
 
-        return read_table(path, header, kind, empty, counted, check_row, build)
-
-    monkeypatch.setattr(ingest, "_read_table", counting)
+    monkeypatch.setattr(ingest, "_convert", counting)
     return calls
 
 
@@ -343,14 +340,16 @@ LOADS = {
 }
 
 
-def _rewritten_entry(entry, drop_rows=0):
+def _rewritten_entry(entry, drop_rows=0, ids=None):
     """The bytes of ``entry`` less its last ``drop_rows`` value rows, with
-    its payload digest made to match."""
+    ``ids`` in place of its ids when given and its payload digest made to
+    match."""
     head, _, payload = entry.read_bytes().partition(b"\n")
     meta = json.loads(head)
     row = (len(payload) - meta["ids"]) // len(json.loads(payload[: meta["ids"]]))
-    payload = payload[: len(payload) - drop_rows * row]
-    meta["digest"] = blake2b(payload).hexdigest()
+    ids_json = payload[: meta["ids"]] if ids is None else json.dumps(ids).encode()
+    payload = ids_json + payload[meta["ids"] : len(payload) - drop_rows * row]
+    meta["digest"], meta["ids"] = blake2b(payload).hexdigest(), len(ids_json)
     return json.dumps(meta).encode() + b"\n" + payload
 
 
@@ -379,12 +378,18 @@ class TestLoadCache:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda good: good[: len(good) // 2],
-            lambda good: good[:-1] + bytes([good[-1] ^ 1]),
-            None,  # one value row fewer than ids, with its own digest right
-            lambda good: b"\x00garbage\xff\n" * 3,
+            lambda entry, good: good[: len(good) // 2],
+            lambda entry, good: good[:-1] + bytes([good[-1] ^ 1]),
+            # One value row fewer than ids, with its own digest right.
+            lambda entry, good: _rewritten_entry(entry, drop_rows=1),
+            lambda entry, good: b"\x00garbage\xff\n" * 3,
+            # Ids that are not strings, with their own digest right: the
+            # constructor refuses them, so the file is parsed.
+            lambda entry, good: _rewritten_entry(entry, ids=[1, 2]),
+            lambda entry, good: _rewritten_entry(entry, ids=[["a1"], "b2"]),
+            lambda entry, good: _rewritten_entry(entry, ids={"a1": 0, "b2": 1}),
         ],
-        ids=["truncated", "flipped", "wrong-shape", "garbage"],
+        ids=["truncated", "flipped", "wrong-shape", "garbage", "int-ids", "list-id", "object-ids"],
     )
     def test_a_damaged_entry_is_parsed_around_and_rewritten(self, tmp_path, convert_calls, kind, damage):
         text, load = LOADS[kind]
@@ -392,11 +397,27 @@ class TestLoadCache:
         cold = _loaded(lambda: load(p))
         entry = _entry(p)
         good = entry.read_bytes()
-        entry.write_bytes(_rewritten_entry(entry, drop_rows=1) if damage is None else damage(good))
+        entry.write_bytes(damage(entry, good))
         convert_calls.clear()
         assert _loaded(lambda: load(p)) == cold
         assert convert_calls == [2]
         assert entry.read_bytes() == good
+
+    def test_one_labels_entry_serves_every_class_count(self, tmp_path, convert_calls):
+        p = _write(tmp_path, "sample_id,label\na1,1\nb2,2\nc3,0\n")
+        for c in (3, 5):
+            assert load_labels(p, c).labels.tolist() == [1, 2, 0]
+        assert convert_calls == [3]
+        good = _entry(p).read_bytes()
+        # A hit still checks the range against this load's class count.
+        with pytest.raises(LabelRangeError) as warm:
+            load_labels(p, 2)
+        assert _entry(p).read_bytes() == good
+        shutil.rmtree(tmp_path / ".softvote-cache")
+        with pytest.raises(LabelRangeError) as cold:
+            load_labels(p, 2)
+        assert str(warm.value) == str(cold.value) == f"{p}: row 3: label 2 outside [0, 2)"
+        assert not _entry(p).exists()
 
     def test_a_file_in_place_of_the_cache_directory_only_costs_speed(self, tmp_path, convert_calls):
         (tmp_path / ".softvote-cache").write_bytes(b"not a directory\n")

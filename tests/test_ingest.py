@@ -25,7 +25,6 @@ from softvote import (
     SplitError,
     SplitSpec,
     ValidationError,
-    default_class_names,
     evaluate,
     generate,
     load_labels,
@@ -48,6 +47,7 @@ from softvote import (
 )
 
 from softvote.ga import MAX_GENERATIONS, MAX_POPULATION_SIZE
+from softvote.ingest import DEFAULT_CLASS_NAMES
 from softvote.synthgen import MAX_NUM_CLASSES, MAX_NUM_SAMPLES
 
 from conftest import random_ensemble
@@ -181,9 +181,9 @@ class TestRoundTrips:
         inputs = random_ensemble(np.random.default_rng(1), 3, 50, 4)
         report = evaluate(inputs)
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        write_report(report, p1, format="json")
+        write_report(report, p1)
         again = read_report(p1)
-        write_report(again, p2, format="json")
+        write_report(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert again.nll == report.nll
         np.testing.assert_array_equal(again.confusion, report.confusion)
@@ -275,7 +275,7 @@ class TestManifestLoading:
 
 class TestDefaultClassNames:
     def test_well_known_indices(self):
-        names = default_class_names()
+        names = DEFAULT_CLASS_NAMES
         assert len(names) == 10
         assert names[0] == "safe driving"
         assert names[6] == "drink"
@@ -450,15 +450,6 @@ class TestReportRendering:
         assert "C0 = cat" in text and "C1 = dog" in text
         with pytest.raises(ValidationError):
             render_report_table(self._perfect_report(), class_names=["only-one"])
-
-    def test_write_report_table_format(self, tmp_path):
-        p = tmp_path / "r.txt"
-        write_report(self._perfect_report(), p, format="table")
-        assert "NLL: 0.1575" in p.read_text(encoding="utf-8")
-
-    def test_write_report_unknown_format(self, tmp_path):
-        with pytest.raises(ValidationError):
-            write_report(self._perfect_report(), tmp_path / "x", format="xml")
 
 
 class TestWeightsFileValidation:

@@ -193,6 +193,26 @@ class TestEvaluate:
 
 
 class TestEvaluationReportValidation:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("nll", True, "nll must be a non-negative real, got True"),
+            ("accuracy_percent", True, "accuracy_percent out of [0, 100]: True"),
+            ("sample_count", 2.5, "sample_count must be an integer, got 2.5"),
+            ("sample_count", True, "sample_count must be an integer, got True"),
+            ("sample_count", "3", "sample_count must be an integer, got '3'"),
+            ("classifier_names", "ab", "classifier_names must be a sequence of strings, got 'ab'"),
+            ("classifier_names", ("a", 7), "classifier_names[1] must be a string, got 7"),
+        ],
+        ids=["nll-bool", "accuracy-bool", "count-float", "count-bool", "count-string", "names-string", "names-int"],
+    )
+    def test_refuses_a_value_it_would_coerce(self, field, value, message):
+        values = dict(nll=0.5, accuracy_percent=100.0, classifier_names=("a",), sample_count=1)
+        values[field] = value
+        with pytest.raises(ValidationError) as info:
+            EvaluationReport(**values, confusion=[[100.0]], per_class_accuracy=[100.0])
+        assert (type(info.value), str(info.value)) == (ValidationError, message)
+
     def test_rejects_diagonal_mismatch(self):
         with pytest.raises(ValidationError):
             EvaluationReport(

@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import softvote
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_public_names():
@@ -9,4 +14,27 @@ def test_public_names():
     namespace = {}
     exec("from softvote import *", namespace)
     assert set(names) <= set(namespace)
-    assert not {"Chromosome", "BreedingError", "GenerationStats", "draw_fitness_sample"} & set(dir(softvote))
+    removed = {"Chromosome", "BreedingError", "GenerationStats", "draw_fitness_sample", "default_class_names"}
+    assert not removed & set(dir(softvote))
+
+
+def _block(text, heading):
+    """The first fenced block after ``heading``, as CI's awk extracts it."""
+    section = text[text.index(f"\n## {heading}\n") :]
+    return re.search(r"^```[^\n]*\n(.*?)^```", section, re.S | re.M).group(1)
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
+    # The bundle is the quick start's: its generator spec, simulated in process.
+    text = README.read_text(encoding="utf-8")
+    spec = re.search(r"<<'EOF'\n(.*?\n)EOF\n", _block(text, "Quick start"), re.S).group(1)
+    (tmp_path / "gen.json").write_text(spec, encoding="utf-8")
+    inputs = softvote.generate(softvote.read_generator_spec(tmp_path / "gen.json"))
+    softvote.write_ensemble(inputs, tmp_path / "bundle")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_block(text, "Library use"), str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # One line per generation from the observer, then the report's NLL and accuracy.
+    assert [line.split()[0] for line in lines[:-1]] == ["0", "1", "2", "3", "4"]
+    nll, accuracy = map(float, lines[-1].split())
+    assert 0.0 < nll and 0.0 <= accuracy <= 100.0

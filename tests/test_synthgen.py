@@ -15,6 +15,7 @@ from softvote import (
     generate,
     nll,
 )
+from softvote import synthgen
 from softvote.synthgen import _simplex_grid
 
 from conftest import build_ensemble
@@ -218,3 +219,30 @@ class TestBruteForceWeights:
             brute_force_weights(one_hot_pair, 0.0)
         with pytest.raises(ValidationError, match="^grid_step must be in .*, got an integer of 16610 bits$"):
             brute_force_weights(one_hot_pair, 10**5000)
+
+    @pytest.mark.parametrize("step", ["x", True, None])
+    def test_refuses_a_step_that_is_not_a_real(self, one_hot_pair, step):
+        with pytest.raises(ValidationError) as info:
+            brute_force_weights(one_hot_pair, step)
+        message = f"grid_step must be in (0, 0.5], got {step!r}"
+        assert (type(info.value), str(info.value)) == (ValidationError, message)
+
+    # Grids of 100 001, 50 015 001 and 104 196 points; 1 / 5e-324 is inf.
+    @pytest.mark.parametrize("n, step", [(2, 1 / 100_000), (3, 1e-4), (3, 0.0022), (2, 5e-324)])
+    def test_refuses_a_grid_over_the_point_limit_before_building_it(self, monkeypatch, one_hot_pair, n, step):
+        probs = one_hot_pair.classifiers[0].probs
+        inputs = build_ensemble([probs] * n, one_hot_pair.label_array, names=list("abc")[:n])
+        monkeypatch.setattr(synthgen, "_simplex_grid", lambda n, divisions: pytest.fail("grid built"))
+        with pytest.raises(OracleScopeError) as info:
+            brute_force_weights(inputs, step)
+        assert str(info.value) == f"grid_step {step!r} gives more than 100000 grid points for {n} classifiers"
+
+    def test_the_largest_grid_is_searched(self, one_hot_pair):
+        # 1 / 99999 gives 99 999 divisions: 100 000 points for two classifiers.
+        weights, value = brute_force_weights(one_hot_pair, 1 / 99_999)
+        assert weights[0] >= 0.98
+        assert value <= nll(one_hot_pair.classifiers[0].probs, one_hot_pair.label_array) + 1e-12
+
+    def test_a_single_classifier_takes_any_step(self, one_hot_pair):
+        weights, _ = brute_force_weights(one_hot_pair.subset(["perfect"]), 5e-324)
+        np.testing.assert_array_equal(weights, [1.0])
