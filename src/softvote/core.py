@@ -45,14 +45,21 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _string(value, what: str) -> str:
+    """``value``, which must be a ``str``; anything else is a ValidationError."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {_shown(value)}")
+    return value
+
+
 def _strings(values: Iterable, what: str) -> tuple[str, ...]:
     """``values`` as a tuple; a ``str`` itself, or an item that is not one, is a ValidationError."""
     if isinstance(values, str):
         raise ValidationError(f"{what} must be a sequence of strings, got {_shown(values)}")
     values = tuple(values)
     if not all(map(isinstance, values, repeat(str))):  # C speed: a load checks every sample id
-        i, bad = next((i, v) for i, v in enumerate(values) if not isinstance(v, str))
-        raise ValidationError(f"{what}[{i}] must be a string, got {_shown(bad)}")
+        i = next(i for i, v in enumerate(values) if not isinstance(v, str))
+        _string(values[i], f"{what}[{i}]")
     return values
 
 
@@ -117,9 +124,7 @@ class PredictionSet:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        name = self.classifier_name
-        if not isinstance(name, str):
-            raise ValidationError(f"classifier_name must be a string, got {_shown(name)}")
+        name = _string(self.classifier_name, "classifier_name")
         object.__setattr__(self, "sample_ids", _strings(self.sample_ids, f"{name}: sample_ids"))
         probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 2:

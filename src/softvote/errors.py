@@ -5,6 +5,8 @@ callers (notably the CLI) can distinguish "your data is wrong" from genuine
 I/O failures, which surface as the built-in ``OSError`` family.
 """
 
+from numbers import Integral, Real
+
 
 class SoftvoteError(Exception):
     """Base class for all errors raised by this package."""
@@ -64,3 +66,38 @@ def _shown(value: object) -> str:
         return repr(value)
     except ValueError:  # a container holding an integer too long to print
         return f"a {type(value).__name__} holding an integer too long to print"
+
+
+def _integer(value, name, error=ValidationError, low=None, high=None, **options) -> int:
+    """``value`` as an ``int``: a ``numbers.Integral`` that is not a bool, in [low, high]; see :func:`_real`."""
+    return _real(value, name, error, low, high, kind=Integral, **options)
+
+
+def _real(
+    value, name, error=ValidationError, low=None, high=None, ends="[]", *, message=None, one_message=False, kind=Real
+):
+    """``value`` itself: a ``numbers.Real`` that is not a bool, between ``low`` and ``high``.
+
+    ``ends`` holds the interval's brackets, "(" or ")" for an open end, and
+    a bound of None is no limit. A failure raises ``error``: ``{name} must
+    be a real number, got {value}`` for the type (``an integer`` with
+    ``kind=Integral``, which :func:`_integer` passes), and ``{name} must be
+    in [low, high], got {value}`` (``must be >= low`` without ``high``) for
+    the range. ``message``, a template with the fields ``{name}`` and
+    ``{value}``, replaces the range text; with ``one_message`` the range
+    text is also the type text.
+    """
+    if message is None:
+        within = f">= {low}" if high is None else f"in {ends[0]}{low}, {high}{ends[1]}"
+        message = "{name} must be " + within + ", got {value}"
+    if not isinstance(value, kind) or isinstance(value, bool):
+        wanted = "an integer" if kind is Integral else "a real number"
+        text = message if one_message else "{name} must be " + wanted + ", got {value}"
+        raise error(text.format(name=name, value=_shown(value)))
+    number = int(value) if kind is Integral else value
+    # Compared without float(), which overflows on a huge integer; NaN fails every comparison.
+    if (low is not None and not (low < number if ends[0] == "(" else low <= number)) or (
+        high is not None and not (number < high if ends[1] == ")" else number <= high)
+    ):
+        raise error(message.format(name=name, value=_shown(value)))
+    return number

@@ -50,14 +50,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable
 
 import numpy as np
 
 from . import metrics
 from .core import EnsembleInputs, _frozen
-from .errors import ConfigError, EmptyInputError, ValidationError, _shown
+from .errors import ConfigError, EmptyInputError, ValidationError, _integer, _real
 from .rng import check_seed, make_rng
 
 # Upper limits on the search's counts. A run holds two (population_size, N)
@@ -81,27 +80,10 @@ class GAConfig:
 
     def __post_init__(self) -> None:
         for name, low, high in (("population_size", 2, MAX_POPULATION_SIZE), ("generations", 1, MAX_GENERATIONS)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an integer, got {_shown(v)}")
-            if not low <= v <= high:
-                raise ConfigError(f"{name} must be in [{low}, {high}], got {_shown(v)}")
-        for name in (
-            "elite_fraction",
-            "extra_parent_fraction",
-            "fitness_sample_fraction",
-            "mutation_rate",
-        ):
-            v = getattr(self, name)
-            if not isinstance(v, Real) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be a real number, got {_shown(v)}")
-        # Compared without float(), which overflows on a huge integer.
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError, low, high))
         for name in ("elite_fraction", "extra_parent_fraction", "fitness_sample_fraction"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1], got {_shown(v)}")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigError(f"mutation_rate must be in [0, 1], got {_shown(self.mutation_rate)}")
+            _real(getattr(self, name), name, ConfigError, 0, 1, "(]")
+        _real(self.mutation_rate, "mutation_rate", ConfigError, 0, 1)
         if math.floor(self.elite_fraction * self.population_size) < 1:
             raise ConfigError(
                 "elite_fraction * population_size must keep at least one elite"
@@ -111,7 +93,7 @@ class GAConfig:
                 f"population_size {self.population_size} with elite_fraction {self.elite_fraction} and "
                 f"extra_parent_fraction {self.extra_parent_fraction} selects 1 parent; crossover needs at least 2"
             )
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def _check_genes(genes: np.ndarray) -> None:
@@ -243,8 +225,8 @@ def run_ga(
     ``threads`` must be a positive integer but has no effect on the result
     or the speed: scoring always runs on the calling thread.
     """
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {_shown(threads)}")
+    positive = "{name} must be a positive integer, got {value}"
+    _integer(threads, "threads", ConfigError, 1, message=positive, one_message=True)
     config = config or GAConfig()
     n = inputs.n_classifiers
     s = inputs.num_samples

@@ -77,21 +77,23 @@ import json
 import math
 import os
 import re
+import sys
 from _blake2 import blake2b  # hashlib re-exports it, but importing hashlib loads OpenSSL
 from dataclasses import dataclass, fields
-from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import EnsembleInputs, LabeledSamples, PredictionSet, _first_invalid_row, as_weights
+from .core import EnsembleInputs, LabeledSamples, PredictionSet, _first_invalid_row, _string, _strings, as_weights
 from .errors import (
     ConfigError,
     FormatError,
     LabelRangeError,
     SplitError,
     ValidationError,
+    _integer,
+    _real,
     _shown,
 )
 from .ga import GAConfig
@@ -118,6 +120,10 @@ class ManifestEntry:
     name: str
     path: str
 
+    def __post_init__(self) -> None:
+        _string(self.name, "name")
+        _string(self.path, "path")
+
 
 @dataclass(frozen=True)
 class Manifest:
@@ -127,12 +133,13 @@ class Manifest:
     labels_path: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "class_names", tuple(self.class_names))
+        object.__setattr__(self, "num_classes", _integer(self.num_classes, "num_classes", low=1))
+        object.__setattr__(self, "class_names", _strings(self.class_names, "class_names"))
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
-        if self.num_classes < 1:
-            raise ValidationError(f"num_classes must be >= 1, got {self.num_classes}")
+        _string(self.labels_path, "labels_path")
         if len(self.class_names) != self.num_classes:
-            raise ValidationError(f"class_names lists {len(self.class_names)} names for {self.num_classes} classes")
+            count = _shown(self.num_classes)
+            raise ValidationError(f"class_names lists {len(self.class_names)} names for {count} classes")
         if not self.classifiers:
             raise ValidationError("classifiers must list at least one classifier")
         names = [entry.name for entry in self.classifiers]
@@ -146,13 +153,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        v = self.train_fraction
-        if not isinstance(v, Real) or isinstance(v, bool):
-            raise ConfigError(f"train_fraction must be a real number, got {_shown(v)}")
-        # Compared without float(), which overflows on a huge integer.
-        if not 0.0 < v < 1.0:
-            raise ConfigError(f"train_fraction must be in (0, 1), got {_shown(v)}")
-        check_seed(self.seed)
+        _real(self.train_fraction, "train_fraction", ConfigError, 0, 1, "()")
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 # ---------------------------------------------------------------- CSV I/O
@@ -179,23 +181,26 @@ def _decoded(path: str | Path, data: bytes) -> str:
 def _record_blocks(path: Path, text: str, size: int):
     """Split CSV text into lists of at most ``size`` records, as csv.reader does.
 
-    A blank line is the record ``[]``. Text with no quote and no NUL is
-    split with ``str.split``, a block of lines at a time, where csv.reader
-    would split it: at every comma, and at CRLF, CR and LF as
-    ``open(newline="")`` does. Other text goes through csv.reader. A cell
-    over the csv field limit, like any csv.reader error, is a FormatError
-    raised after the records before the bad one are yielded.
+    A blank line is the record ``[]``. Text with no quote, no NUL and one
+    kind of line end (LF, CRLF or CR) is split with ``str.split``, a block
+    of lines at a time, where csv.reader would split it: at every comma
+    and every line end. Other text, such as text that mixes line ends,
+    goes through csv.reader, which ends a row at each of CRLF, CR and LF
+    as ``open(newline="")`` does. A cell over the csv field limit, like any
+    csv.reader error, is a FormatError raised after the records before the
+    bad one are yielded.
     """
     done = 0
-    if '"' not in text and "\0" not in text:
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        limit, end = csv.field_size_limit(), 0
+    newline = "\r" if "\n" not in text else "\n" if "\r" not in text else "\r\n"
+    if newline == "\r\n" and not text.count("\r") == text.count("\n") == text.count("\r\n"):
+        newline = None  # a CR or an LF stands alone
+    if newline and '"' not in text and "\0" not in text:
+        limit, end, last = csv.field_size_limit(), 0, newline[-1]
         while end < len(text):
             start = end
             for _ in range(size):
-                end = text.find("\n", end) + 1 or len(text)
-            lines = text[start:end].removesuffix("\n").split("\n")
+                end = text.find(last, end) + 1 or len(text)
+            lines = text[start:end].removesuffix(newline).split(newline)
             block = [line.split(",") if line else [] for line in lines]
             for n, record in enumerate(block if max(map(len, lines)) > limit else []):
                 if max(map(len, record), default=0) > limit:
@@ -426,8 +431,7 @@ def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
 def load_predictions(path: str | Path, num_classes: int, name: str | None = None) -> PredictionSet:
     """Parse one classifier's predictions CSV; errors carry row numbers."""
     path = Path(path)
-    if num_classes < 1:
-        raise ValidationError("num_classes must be >= 1")
+    num_classes = _integer(num_classes, "num_classes", low=1, message="{name} must be >= 1")
 
     def check_row(number, record):
         values = []
@@ -455,6 +459,7 @@ def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
 
 def load_labels(path: str | Path, num_classes: int) -> LabeledSamples:
     path = Path(path)
+    num_classes = _integer(num_classes, "num_classes", low=1, message="{name} must be >= 1")
 
     def check_row(number, record):
         try:
@@ -497,18 +502,11 @@ def _dump_json(obj, path: str | Path) -> None:
 
 def _number(value, key: str, kind: type, path: str | Path) -> int | float:
     """JSON ``value`` of ``key`` as an int, or as a finite float when ``kind`` is float."""
+    name = f"{path}: {key}"
     if kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        try:
-            ok = ok and math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            ok = False
-    if not ok:
-        want = "an integer" if kind is int else "a finite number"
-        raise FormatError(f"{path}: {key} must be {want}, got {_shown(value)}")
-    return kind(value)
+        return _integer(value, name, FormatError)
+    finite, big = "{name} must be a finite number, got {value}", sys.float_info.max
+    return float(_real(value, name, FormatError, -big, big, message=finite, one_message=True))
 
 
 def _typed(value, schema, path: str | Path, what: str, key: str = ""):

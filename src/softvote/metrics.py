@@ -13,9 +13,8 @@ clones), and reproduces :func:`nll` of each weighted fusion bit for bit.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +34,8 @@ from .errors import (
     EmptyInputError,
     LabelRangeError,
     ValidationError,
-    _shown,
+    _integer,
+    _real,
 )
 
 NLL_EPSILON = 1e-15
@@ -163,8 +163,7 @@ def confusion_matrix(
     predicted as ``p``. Rows for classes with no actual samples are all
     zero; every other row sums to 100 within 1e-6.
     """
-    if num_classes < 1:
-        raise DimensionError("num_classes must be >= 1")
+    num_classes = _integer(num_classes, "num_classes", DimensionError, 1, message="{name} must be >= 1")
     f, y = _check_pair(fused, labels)
     if f.shape[1] != num_classes:
         raise DimensionError(f"fused rows have {f.shape[1]} classes, expected {num_classes}")
@@ -204,23 +203,13 @@ class EvaluationReport:
         if not np.all(ok):
             row = int(np.argmax(~ok))
             raise ValidationError(f"confusion row {row} sums to {sums[row]!r}, want 100 or 0")
-        loss, percent, count = self.nll, self.accuracy_percent, self.sample_count
-        try:
-            loss_ok = isinstance(loss, Real) and not isinstance(loss, bool) and math.isfinite(loss) and loss >= 0.0
-        except OverflowError:  # an integer beyond the float range
-            loss_ok = False
-        if not loss_ok:
-            raise ValidationError(f"nll must be a non-negative real, got {_shown(loss)}")
-        # Compared without float(), which overflows on a huge integer.
-        if not (isinstance(percent, Real) and not isinstance(percent, bool) and 0.0 <= percent <= 100.0):
-            raise ValidationError(f"accuracy_percent out of [0, 100]: {_shown(percent)}")
-        if not isinstance(count, Integral) or isinstance(count, bool):
-            raise ValidationError(f"sample_count must be an integer, got {_shown(count)}")
-        if count < 0:
-            raise ValidationError("sample_count must be non-negative")
-        object.__setattr__(self, "nll", float(self.nll))
-        object.__setattr__(self, "accuracy_percent", float(self.accuracy_percent))
-        object.__setattr__(self, "sample_count", int(self.sample_count))
+        nonnegative, out_of = "{name} must be a non-negative real, got {value}", "{name} out of [0, 100]: {value}"
+        loss = _real(self.nll, "nll", low=0, high=sys.float_info.max, message=nonnegative, one_message=True)
+        percent = _real(self.accuracy_percent, "accuracy_percent", low=0, high=100, message=out_of, one_message=True)
+        count = _integer(self.sample_count, "sample_count", low=0, message="{name} must be non-negative")
+        object.__setattr__(self, "nll", float(loss))
+        object.__setattr__(self, "accuracy_percent", float(percent))
+        object.__setattr__(self, "sample_count", count)
         object.__setattr__(self, "confusion", _frozen(conf))
         object.__setattr__(self, "per_class_accuracy", _frozen(per_class))
 

@@ -19,13 +19,12 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from numbers import Real
 
 import numpy as np
 
 from . import metrics
 from .core import EnsembleInputs, LabeledSamples, PredictionSet
-from .errors import ConfigError, OracleScopeError, ValidationError, _shown
+from .errors import ConfigError, OracleScopeError, ValidationError, _integer, _real, _shown
 from .rng import check_seed, make_rng
 
 ORACLE_MAX_CLASSIFIERS = 3
@@ -48,15 +47,8 @@ class ClassifierProfile:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError(f"name must be a non-empty string, got {_shown(self.name)}")
-        for name in ("accuracy", "sharpness"):
-            v = getattr(self, name)
-            if not isinstance(v, Real) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be a real number, got {_shown(v)}")
-        # Compared without float(), which overflows on a huge integer.
-        if not 0.0 < self.accuracy <= 1.0:
-            raise ConfigError(f"accuracy must be in (0, 1], got {_shown(self.accuracy)}")
-        if not self.sharpness >= 0.0:
-            raise ConfigError(f"sharpness must be >= 0, got {_shown(self.sharpness)}")
+        _real(self.accuracy, "accuracy", ConfigError, 0, 1, "(]")
+        _real(self.sharpness, "sharpness", ConfigError, 0)
         # inf gives one-hot rows; a finite value past the float range would
         # overflow in generate's math.exp.
         if self.sharpness > sys.float_info.max and self.sharpness != math.inf:
@@ -73,11 +65,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "profiles", tuple(self.profiles))
         for name, high in (("num_classes", MAX_NUM_CLASSES), ("num_samples", MAX_NUM_SAMPLES)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an integer, got {_shown(v)}")
-            if not 1 <= v <= high:
-                raise ConfigError(f"{name} must be in [1, {high}], got {_shown(v)}")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError, 1, high))
         if not self.profiles:
             raise ConfigError("classifiers must list at least one profile")
         bad = next((p for p in self.profiles if not isinstance(p, ClassifierProfile)), None)
@@ -86,7 +74,7 @@ class GeneratorSpec:
         names = [p.name for p in self.profiles]
         if len(set(names)) != len(names):
             raise ConfigError("classifiers must have unique names")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def generate(spec: GeneratorSpec) -> EnsembleInputs:
@@ -140,8 +128,7 @@ def brute_force_weights(
         raise OracleScopeError(
             f"exhaustive search supports at most {ORACLE_MAX_CLASSIFIERS} classifiers, got {n}"
         )
-    if not (isinstance(grid_step, Real) and not isinstance(grid_step, bool) and 0.0 < grid_step <= 0.5):
-        raise ValidationError(f"grid_step must be in (0, 0.5], got {_shown(grid_step)}")
+    _real(grid_step, "grid_step", ValidationError, 0, 0.5, "(]", one_message=True)
     # 1 / grid_step is inf for a subnormal step, which round() refuses.
     divisions = round(min(1.0 / grid_step, _ORACLE_MAX_POINTS))
     if math.comb(divisions + n - 1, n - 1) > _ORACLE_MAX_POINTS:  # M + 1 points at n = 2

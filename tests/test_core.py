@@ -21,6 +21,7 @@ from softvote import (
     evaluate,
     fuse_majority,
     fuse_weighted,
+    load_labels,
     load_predictions,
     nll,
     run_ga,
@@ -366,6 +367,13 @@ def test_as_weights_returns_frozen_copy():
     "call, error, message",
     [
         (lambda: load_predictions("m.csv", 0), ValidationError, "num_classes must be >= 1"),
+        (lambda: load_predictions("m.csv", 2.5), ValidationError, "num_classes must be an integer, got 2.5"),
+        (lambda: load_predictions("m.csv", "1"), ValidationError, "num_classes must be an integer, got '1'"),
+        (lambda: load_predictions("m.csv", True), ValidationError, "num_classes must be an integer, got True"),
+        (lambda: load_labels("l.csv", 0), ValidationError, "num_classes must be >= 1"),
+        (lambda: load_labels("l.csv", 2.5), ValidationError, "num_classes must be an integer, got 2.5"),
+        (lambda: load_labels("l.csv", "1"), ValidationError, "num_classes must be an integer, got '1'"),
+        (lambda: load_labels("l.csv", True), ValidationError, "num_classes must be an integer, got True"),
         (lambda: PredictionSet("m", (), np.empty((0, 0))), DimensionError, "m: need at least one class column"),
         (lambda: LabeledSamples(("a",), [[0]]), DimensionError, "labels must be 1-D, got shape (1, 1)"),
         (lambda: LabeledSamples(("a",), [-1]), LabelRangeError, "labels must be non-negative"),
@@ -390,6 +398,13 @@ def test_as_weights_returns_frozen_copy():
     ],
     ids=[
         "load-no-classes",
+        "load-float-classes",
+        "load-string-classes",
+        "load-bool-classes",
+        "labels-no-classes",
+        "labels-float-classes",
+        "labels-string-classes",
+        "labels-bool-classes",
         "no-class-column",
         "labels-2d",
         "labels-negative",

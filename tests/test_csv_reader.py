@@ -19,6 +19,7 @@ import re
 import shutil
 import sys
 import threading
+import tracemalloc
 from hashlib import blake2b
 
 import numpy as np
@@ -189,6 +190,27 @@ class TestPinnedSemantics:
         p = _write(tmp_path, "sample_id,p0,p1\rs1,1.0,0.0\r\r\ns2,0.5,0.5\ns3,0.0,1.0")
         assert load_predictions(p, 2).sample_ids == ("s1", "s2", "s3")
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_cr_line_ends_cost_no_copy_of_the_text(self, tmp_path, newline):
+        # A 1500 x 100 predictions file of about 3 MB: a CR-free copy of its
+        # whole text held beside it would add about 1.9 MB to the peak.
+        probs = np.random.default_rng(0).dirichlet(np.ones(100), size=1500)
+        ps = PredictionSet("m", [f"s{i}" for i in range(1500)], probs)
+        peaks = []
+        for name, end in (("lf", "\n"), ("cr", newline)):
+            p = tmp_path / name / "m.csv"
+            p.parent.mkdir()
+            write_predictions(ps, p)
+            p.write_bytes(p.read_bytes().replace(b"\n", end.encode()))
+            tracemalloc.start()
+            try:
+                loaded = load_predictions(p, 100)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert loaded.probs.tobytes() == probs.tobytes()
+        assert peaks[1] - peaks[0] <= 0.5 * 2**20, peaks
+
     def test_quoted_header_and_cells(self, tmp_path, block_cells):
         p = _write(tmp_path, '"sample_id","p0",p1\n"s1","0.5",0.5\n')
         ps = load_predictions(p, 2)
@@ -316,10 +338,11 @@ class TestUnreadableText:
         with pytest.raises(FormatError, match=r"m\.csv: not UTF-8 text"):
             load_predictions(p, 1)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("quote", ['"', ""])
-    def test_field_over_the_csv_limit_names_its_row(self, tmp_path, block_cells, quote):
+    def test_field_over_the_csv_limit_names_its_row(self, tmp_path, block_cells, quote, newline):
         huge = quote + "x" * (csv.field_size_limit() + 1) + quote
-        p = _write(tmp_path, f"sample_id,label\na,0\n{huge},1\n", "l.csv")
+        p = _write(tmp_path, f"sample_id,label{newline}a,0{newline}{huge},1{newline}", "l.csv")
         with pytest.raises(FormatError, match="l\\.csv: row 3: field larger than field limit"):
             load_labels(p, 2)
 

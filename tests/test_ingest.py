@@ -258,6 +258,31 @@ class TestManifestLoading:
                 labels_path="l.csv",
             )
 
+    # Each of these could be written by write_manifest but not read back by read_manifest.
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"class_names": (7,)}, "class_names[0] must be a string, got 7"),
+            ({"class_names": "a"}, "class_names must be a sequence of strings, got 'a'"),
+            ({"labels_path": None}, "labels_path must be a string, got None"),
+            ({"num_classes": True}, "num_classes must be an integer, got True"),
+            ({"num_classes": 10**5000}, "class_names lists 1 names for an integer of 16610 bits classes"),
+        ],
+    )
+    def test_manifest_refuses_a_value_its_file_cannot_hold(self, changes, message):
+        values = {"num_classes": 1, "class_names": ("a",), "labels_path": "l.csv", **changes}
+        with pytest.raises(ValidationError) as info:
+            Manifest(classifiers=(ManifestEntry("a", "a.csv"),), **values)
+        assert (type(info.value), str(info.value)) == (ValidationError, message)
+
+    @pytest.mark.parametrize(
+        "name, path, message", [(7, 3, "name must be a string, got 7"), ("a", 3, "path must be a string, got 3")]
+    )
+    def test_manifest_entry_takes_only_strings(self, name, path, message):
+        with pytest.raises(ValidationError) as info:
+            Manifest(num_classes=1, class_names=(7,), classifiers=(ManifestEntry(name, path),), labels_path=None)
+        assert (type(info.value), str(info.value)) == (ValidationError, message)
+
     def test_invalid_json_is_format_error(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text("{not json", encoding="utf-8")

@@ -1,9 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import softvote
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_public_names():
@@ -38,3 +42,22 @@ def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
     assert [line.split()[0] for line in lines[:-1]] == ["0", "1", "2", "3", "4"]
     nll, accuracy = map(float, lines[-1].split())
     assert 0.0 < nll and 0.0 <= accuracy <= 100.0
+
+
+def test_readme_quick_start_runs_as_written(tmp_path):
+    # As the workflow's quick-start step runs it: the block under bash -euo
+    # pipefail, with a `softvote` on PATH, here one that runs the checkout's src/.
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "softvote"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m softvote.cli "$@"\n', encoding="utf-8")
+    shim.chmod(0o755)
+    (tmp_path / "quickstart.sh").write_text(_block(README.read_text(encoding="utf-8"), "Quick start"), encoding="utf-8")
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}", PYTHONPATH=str(ROOT / "src"))
+    command = ["bash", "-euo", "pipefail", "quickstart.sh"]
+    run = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert re.search(r"^Accuracy: ", run.stdout, re.M)
+    lines = [line for line in run.stderr.splitlines() if re.match("generation |full-data nll: ", line)]
+    steps = [re.sub(r": [0-9.]+$", ":", re.sub("=.*", "", line)) for line in lines]
+    assert steps == [f"generation {g}: best_nll" for g in range(5)] + ["full-data nll:"]
