@@ -98,7 +98,7 @@ def fuse_cmd(manifest_path: str, weights_path: str | None, subset: str | None, o
     """Write per-sample fused distributions plus a predicted-class column."""
     _, inputs, weights = _load_for_subset(manifest_path, subset, weights_path)
     fused = fuse_majority(inputs) if weights is None else fuse_weighted(inputs, weights)
-    header = ingest._prob_columns(inputs.num_classes) + ["predicted"]
+    header = ingest._header("p{}", inputs.num_classes) + ["predicted"]
     _emit(ingest._csv_text(header, inputs.sample_ids, fused, argmax_classes(fused)), out)
 
 

@@ -10,10 +10,10 @@ same) or through one non-negative weight per classifier:
 
 Both read each classifier's own matrix; nothing stacks them.
 
-All values are immutable after construction. The per-sample sum runs
-over classifiers in index order; the weight search's population scorer
-(``metrics._population_nll``) keeps that order, so its scores equal the
-NLL of these fusions bit for bit.
+All values are immutable after construction. Every weighted sum, here
+and in the weight search's scorer (``metrics._population_nll``), is
+:func:`_weighted_fusion`, which adds the products in classifier index
+order, so the search's scores equal the NLL of these fusions bit for bit.
 """
 
 from __future__ import annotations
@@ -329,13 +329,16 @@ def fuse_weighted(inputs: EnsembleInputs, weights: Sequence[float] | np.ndarray)
     :func:`fuse_majority`. Output rows sum to 1 within 1e-9.
     """
     w = as_weights(weights, inputs.n_classifiers)
-    # Accumulate in classifier index order; metrics._population_nll
-    # repeats these exact operations on the true-class column only.
-    fused = w[0] * inputs.classifiers[0].probs
-    for i in range(1, inputs.n_classifiers):
-        fused += w[i] * inputs.classifiers[i].probs
-    fused /= float(w.sum())
-    return fused
+    return _weighted_fusion(w, [ps.probs for ps in inputs.classifiers], float(w.sum()))
+
+
+def _weighted_fusion(weights, arrays, total, out=None, term=None) -> np.ndarray:
+    """``sum_i weights[i] * arrays[i] / total``, added in index order; buffers ``out`` and ``term`` are made if None."""
+    out = np.multiply(weights[0], arrays[0], out=out)
+    for i in range(1, len(arrays)):
+        out += np.multiply(weights[i], arrays[i], out=term)
+    out /= total
+    return out
 
 
 def argmax_class(distribution: Sequence[float] | np.ndarray) -> int:
@@ -346,9 +349,14 @@ def argmax_class(distribution: Sequence[float] | np.ndarray) -> int:
     return int(np.argmax(d))
 
 
-def argmax_classes(fused: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`argmax_class` for an (S, C) matrix."""
+def _fused_matrix(fused) -> np.ndarray:
+    """``fused`` as a float64 array, which must be an (S, C) matrix with C >= 1."""
     f = np.asarray(fused, dtype=np.float64)
     if f.ndim != 2 or f.shape[1] == 0:
         raise DimensionError("fused distributions must form an (S, C) matrix")
-    return np.argmax(f, axis=1)
+    return f
+
+
+def argmax_classes(fused: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`argmax_class` for an (S, C) matrix."""
+    return np.argmax(_fused_matrix(fused), axis=1)

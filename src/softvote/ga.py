@@ -81,9 +81,9 @@ class GAConfig:
     def __post_init__(self) -> None:
         for name, low, high in (("population_size", 2, MAX_POPULATION_SIZE), ("generations", 1, MAX_GENERATIONS)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError, low, high))
-        for name in ("elite_fraction", "extra_parent_fraction", "fitness_sample_fraction"):
-            _real(getattr(self, name), name, ConfigError, 0, 1, "(]")
-        _real(self.mutation_rate, "mutation_rate", ConfigError, 0, 1)
+        fractions = ("elite_fraction", "(]"), ("extra_parent_fraction", "(]"), ("fitness_sample_fraction", "(]")
+        for name, ends in (*fractions, ("mutation_rate", "[]")):
+            object.__setattr__(self, name, float(_real(getattr(self, name), name, ConfigError, 0, 1, ends)))
         if math.floor(self.elite_fraction * self.population_size) < 1:
             raise ConfigError(
                 "elite_fraction * population_size must keep at least one elite"

@@ -58,11 +58,11 @@ it, one entry per file, written only after ``build`` accepted the file.
 An entry holds one JSON line (the key, a BLAKE2b digest of the payload
 and the byte count of its ids), then the payload: the sample ids as a
 JSON array and the values as raw little-endian float64 or int64. The key
-is a BLAKE2b digest of the file's exact bytes, the header, the value
-dtype and ``_CACHE_FORMAT``; no file time, size or class count is part
-of it, so one labels entry serves every C. A load whose key matches an
-intact entry skips the parse and passes the cached ids and values to
-``build``, so every row, id and label range is checked as on a first
+is a BLAKE2b digest of the file's exact bytes, the header's column name
+and count, the value dtype and ``_CACHE_FORMAT``; no file time or size
+is part of it, so one labels entry serves every C. A load whose key
+matches an intact entry skips the parse and passes the cached ids and
+values to ``build``, so every row, id and label range is checked as on a first
 load. Any other entry is ignored and the file is parsed, and a failed
 write of an entry is ignored, so the cache changes no result and no
 error.
@@ -223,34 +223,41 @@ def _record_blocks(path: Path, text: str, size: int):
         yield block
 
 
-def _table_blocks(path: Path, header: list[str], text: str) -> Iterator[tuple[int, list[list[str]]]]:
+def _header(column: str, width: int) -> list[str]:
+    """``sample_id``, then ``width`` value columns named ``column.format(i)``: ``p{}`` numbers them."""
+    return ["sample_id", *(column.format(i) for i in range(width))]
+
+
+def _table_blocks(path: Path, column: str, width: int, text: str) -> Iterator[tuple[int, list[list[str]]]]:
     """The records after the header of CSV ``text``, in blocks, each with the row number of its first record.
 
     Blank records (``[]``) are kept, so the numbers count them. A first
-    record other than ``header`` is a FormatError.
+    record other than ``_header(column, width)`` is a FormatError; its
+    cell count is compared first, so a wrong one builds no header list.
     """
     number = 1
-    for records in _record_blocks(path, text, max(1, _BLOCK_CELLS // len(header))):
+    for records in _record_blocks(path, text, max(1, _BLOCK_CELLS // (width + 1))):
         if number == 1:
-            if not records or records[0] != header:
+            if not records or len(records[0]) != width + 1 or records[0] != _header(column, width):
                 break
             records, number = records[1:], 2
         yield number, records
         number += len(records)
     if number == 1:
-        raise FormatError(f"{path}: bad header, expected {','.join(header)}")
+        cells = _header(column, width) if width <= 10 else [*_header(column, 1), "...", column.format(width - 1)]
+        raise FormatError(f"{path}: bad header, expected {','.join(cells)}")
 
 
 # Part of every cache key: a change to the entry layout or to what a parse
 # accepts or returns must change it, so that older entries stop matching.
-_CACHE_FORMAT = "softvote-cache 2"
+_CACHE_FORMAT = "softvote-cache 3"
 _CACHE_DIR = ".softvote-cache"
 _ENTRY_SCHEMA = {"key": str, "digest": str, "ids": int}
 
 
-def _cache_key(data: bytes, header: list[str], dtype: type) -> str:
+def _cache_key(data: bytes, column: str, width: int, dtype: type) -> str:
     """A digest of a CSV's exact bytes and of everything its parse depends on."""
-    digest = blake2b(json.dumps([_CACHE_FORMAT, header, np.dtype(dtype).str]).encode() + b"\0")
+    digest = blake2b(json.dumps([_CACHE_FORMAT, column, width, np.dtype(dtype).str]).encode() + b"\0")
     digest.update(data)
     return digest.hexdigest()
 
@@ -292,26 +299,26 @@ def _convert(records: list[list[str]], dtype: type, width: int) -> np.ndarray:
 
 def _read_table(
     path: Path,
-    header: list[str],
+    column: str,
+    width: int,
     dtype: type,
     check_row: Callable[[int, list[str]], None],
     build: Callable[[tuple[str, ...], np.ndarray], PredictionSet | LabeledSamples],
 ) -> PredictionSet | LabeledSamples:
-    """``build(ids, values)`` on the sample ids and value cells of a headed CSV.
+    """``build(ids, values)`` on the sample ids and value cells of a CSV headed ``_header(column, width)``.
 
-    The first pass only parses: rows of ``len(header)`` cells, whose value
-    cells ``_convert`` turns into a (rows, ``len(header) - 1``) ``dtype``
-    array. If the parse or ``build`` fails, the same decoded text is walked
-    from the top in the module docstring's order (``check_row(number,
-    record)`` last); its first bad row raises.
+    The first pass only parses: rows of ``width + 1`` cells, whose value
+    cells ``_convert`` turns into a (rows, ``width``) ``dtype`` array. If
+    the parse or ``build`` fails, the same decoded text is walked from the
+    top in the module docstring's order (``check_row(number, record)``
+    last); its first bad row raises.
 
     A regular file's ids and values are cached once ``build`` accepts them,
-    keyed by its bytes, ``header`` and ``dtype``: all that the parse reads.
-    A hit skips the parse and still hands the ids and values to ``build``.
+    keyed by its bytes, ``column``, ``width`` and ``dtype``: all the parse
+    reads. A hit skips the parse and still hands the ids and values to ``build``.
     """
-    width = len(header) - 1
     data = _read_bytes(path)
-    key = _cache_key(data, header, dtype)
+    key = _cache_key(data, column, width, dtype)
     entry = path.parent / _CACHE_DIR / f"{path.name}.entry" if path.is_file() else None
     cached = _cached(entry, key, dtype, width) if entry is not None else None
     if cached is not None:
@@ -324,9 +331,9 @@ def _read_table(
     try:
         ids: list[str] = []
         arrays: list[np.ndarray] = []
-        for _, records in _table_blocks(path, header, text):
+        for _, records in _table_blocks(path, column, width, text):
             records = [record for record in records if record]
-            if set(map(len, records)) - {len(header)}:
+            if set(map(len, records)) - {width + 1}:
                 raise ValueError("wrong cell count")
             arrays.append(_convert(records, dtype, width))
             ids.extend([record[0] for record in records])
@@ -342,23 +349,18 @@ def _read_table(
             _store(entry, key, ids, values)
         return result
     seen: dict[str, int] = {}
-    for number, records in _table_blocks(path, header, text):
+    for number, records in _table_blocks(path, column, width, text):
         for n, record in enumerate(records, number):
             if not record:
                 continue
-            if len(record) != len(header):
-                raise FormatError(f"{path}: row {n}: expected {len(header)} cells, got {len(record)}")
+            if len(record) != width + 1:
+                raise FormatError(f"{path}: row {n}: expected {width + 1} cells, got {len(record)}")
             sid = record[0]
             if sid in seen:
                 raise FormatError(f"{path}: row {n}: duplicate sample_id '{sid}' (first at row {seen[sid]})")
             seen[sid] = n
             check_row(n, record)
     raise AssertionError("the file failed to parse or to build, but no row is bad")
-
-
-def _prob_columns(num_classes: int) -> list[str]:
-    """The header cells of a predictions CSV."""
-    return ["sample_id"] + [f"p{i}" for i in range(num_classes)]
 
 
 # An id holding one of these is written quoted; csv.writer leaves a lone CR
@@ -400,16 +402,17 @@ def _write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` to a new file beside ``path``, then move it onto ``path``.
 
     The temp file is opened with mode "x", so it is new and the umask sets
-    its permissions. On any exception it is removed and ``path`` is left
-    as it was. A target that exists and is not a regular file, such as
-    ``/dev/null`` or a pipe, is written in place instead of being replaced.
+    its permissions, and its name's length does not depend on the target's.
+    On any exception it is removed and ``path`` is left as it was. A target
+    that exists and is not a regular file, such as ``/dev/null`` or a pipe,
+    is written in place instead of being replaced.
     """
     path = Path(path)
     if path.exists() and not path.is_file():
         with open(path, "wb") as fh:
             fh.writelines(chunks)
         return
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    tmp = path.with_name(f".softvote-{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
@@ -449,11 +452,11 @@ def load_predictions(path: str | Path, num_classes: int, name: str | None = None
         # module's attribute sees the call.
         return PredictionSet(name if name is not None else path.stem, ids, probs)
 
-    return _read_table(path, _prob_columns(num_classes), np.float64, check_row, build)
+    return _read_table(path, "p{}", num_classes, np.float64, check_row, build)
 
 
 def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
-    header = _prob_columns(predictions.num_classes)
+    header = _header("p{}", predictions.num_classes)
     _write_text(path, _csv_text(header, predictions.sample_ids, predictions.probs))
 
 
@@ -475,7 +478,7 @@ def load_labels(path: str | Path, num_classes: int) -> LabeledSamples:
             raise ValueError("label outside [0, num_classes)")
         return LabeledSamples(ids, labels[:, 0])
 
-    return _read_table(path, ["sample_id", "label"], np.int64, check_row, build)
+    return _read_table(path, "label", 1, np.int64, check_row, build)
 
 
 def write_labels(labels: LabeledSamples, path: str | Path) -> None:

@@ -6,9 +6,11 @@ clip keeps degenerate inputs finite; the upper clip only absorbs rounding
 dust above 1.0 so the loss can never dip below zero.
 
 The weight search scores a whole population at once with
-:func:`_population_nll`, which reads only the true-class probabilities,
-scores each distinct gene row once (a converged population is mostly
-clones), and reproduces :func:`nll` of each weighted fusion bit for bit.
+:func:`_population_nll`, which reads only the true-class probabilities
+and scores each distinct gene row once (a converged population is mostly
+clones). It fuses with ``core._weighted_fusion`` and scores with
+:func:`_mean_nll`, as :func:`fuse_weighted` and :func:`nll` do, so each
+of its scores is the NLL of that row's weighted fusion bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .core import (
     EnsembleInputs,
     LabeledSamples,
     _frozen,
+    _fused_matrix,
     _strings,
+    _weighted_fusion,
     argmax_classes,
     fuse_majority,
     fuse_weighted,
@@ -48,13 +52,6 @@ DEGENERATE_GENE_SUM = 1e-12
 _SCORE_BLOCK_CELLS = 1 << 16
 
 
-def _as_fused(fused: np.ndarray) -> np.ndarray:
-    f = np.asarray(fused, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] == 0:
-        raise DimensionError("fused distributions must form an (S, C) matrix")
-    return f
-
-
 def _as_labels(labels: LabeledSamples | Sequence[int] | np.ndarray) -> np.ndarray:
     if isinstance(labels, LabeledSamples):
         return labels.labels
@@ -65,7 +62,7 @@ def _as_labels(labels: LabeledSamples | Sequence[int] | np.ndarray) -> np.ndarra
 
 
 def _check_pair(fused: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-    f = _as_fused(fused)
+    f = _fused_matrix(fused)
     y = _as_labels(labels)
     if f.shape[0] == 0:
         raise EmptyInputError("need at least one sample")
@@ -79,8 +76,15 @@ def _check_pair(fused: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
 def nll(fused: np.ndarray, labels: LabeledSamples | Sequence[int] | np.ndarray) -> float:
     """Mean negative log likelihood of the true classes, in nats."""
     f, y = _check_pair(fused, labels)
-    p = f[np.arange(f.shape[0]), y]
-    return float(np.mean(-np.log(np.clip(p, NLL_EPSILON, 1.0))))
+    return float(_mean_nll(f[np.arange(f.shape[0]), y]))
+
+
+def _mean_nll(p: np.ndarray) -> np.ndarray:
+    """Mean of ``-ln(clip(p, NLL_EPSILON, 1))`` along the last axis, the one NLL step; ``p`` is overwritten."""
+    np.clip(p, NLL_EPSILON, 1.0, out=p)
+    np.log(p, out=p)
+    np.negative(p, out=p)
+    return p.mean(axis=-1)
 
 
 def _true_class_probs(inputs: EnsembleInputs) -> np.ndarray:
@@ -94,55 +98,38 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
 
     ``genes`` is (P, N) and ``true_probs`` is (N, S), holding each
     classifier's probability of each sample's true class. Row p equals
-    ``nll(fuse_weighted(inputs, genes[p]), labels)`` bit for bit: the same
-    products, summed in classifier index order, divided by the row's gene
-    sum, clipped, logged and averaged over the whole row at once. Rows
-    whose gene sum is at most :data:`DEGENERATE_GENE_SUM` score +inf.
+    ``nll(fuse_weighted(inputs, genes[p]), labels)`` bit for bit: both
+    fuse with ``core._weighted_fusion``, dividing by the row's gene sum,
+    and score with :func:`_mean_nll`. Rows whose gene sum is at most
+    :data:`DEGENERATE_GENE_SUM` score +inf.
 
     Each distinct row is scored once and its score copied to the rows
-    that repeat it; rows count as the same only when their bytes are
-    equal. Distinct rows are scored a block at a time in two preallocated
-    scratch buffers of at most :data:`_SCORE_BLOCK_CELLS` cells each (one
-    row when a row alone is longer), so memory does not grow with the
-    population.
+    that repeat it; rows count as the same when their values are equal
+    (so 0.0 and -0.0 genes match, and score the same bits). Distinct rows
+    are scored a block at a time in two preallocated scratch buffers of at
+    most :data:`_SCORE_BLOCK_CELLS` cells each (one row when a row alone
+    is longer), so memory does not grow with the population.
     """
     n_samples = true_probs.shape[1]
     if n_samples == 0:
         raise EmptyInputError("need at least one sample")
-    slots: dict[bytes, int] = {}
-    first: list[int] = []
-    inverse = np.empty(genes.shape[0], dtype=np.intp)
-    for p, row in enumerate(genes):
-        key = row.tobytes()
-        if key not in slots:
-            slots[key] = len(first)
-            first.append(p)
-        inverse[p] = slots[key]
-    distinct = genes[first]
-    n_rows, n_classifiers = distinct.shape
+    distinct, inverse = np.unique(genes, axis=0, return_inverse=True)
+    n_rows = distinct.shape[0]
     totals = distinct.sum(axis=1)
     degenerate = totals <= DEGENERATE_GENE_SUM
     # A stand-in divisor keeps degenerate rows finite until they are overwritten.
     totals[degenerate] = 1.0
     block = max(1, _SCORE_BLOCK_CELLS // n_samples)
-    fused = np.empty((min(block, n_rows), n_samples))
-    term = np.empty_like(fused)
+    scratch = np.empty((2, min(block, n_rows), n_samples))  # the fused block and one product
     out = np.empty(n_rows)
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
-        g = distinct[start:stop]
-        acc, tmp = fused[: stop - start], term[: stop - start]
-        np.multiply(g[:, :1], true_probs[0], out=acc)
-        for i in range(1, n_classifiers):
-            np.multiply(g[:, i : i + 1], true_probs[i], out=tmp)
-            acc += tmp
-        acc /= totals[start:stop, None]
-        np.clip(acc, NLL_EPSILON, 1.0, out=acc)
-        np.log(acc, out=acc)
-        np.negative(acc, out=acc)
-        out[start:stop] = acc.mean(axis=1)
+        weights = distinct[start:stop].T[..., None]  # weights[i] is gene column i, shape (rows, 1)
+        acc = _weighted_fusion(weights, true_probs, totals[start:stop, None], *scratch[:, : stop - start])
+        out[start:stop] = _mean_nll(acc)
     out[degenerate] = np.inf
-    return out[inverse]
+    # numpy 2.0.0 gives the inverse of an axis=0 unique a second axis.
+    return out[inverse.reshape(-1)]
 
 
 def accuracy(fused: np.ndarray, labels: LabeledSamples | Sequence[int] | np.ndarray) -> float:

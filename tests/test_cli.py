@@ -244,6 +244,15 @@ class TestEvaluate:
         assert report.sample_count == 300
         assert report.classifier_names == ("strong", "mid", "weak")
 
+    def test_json_report_to_the_longest_file_name(self, bundle, tmp_path, runner):
+        if os.pathconf(tmp_path, "PC_NAME_MAX") < 255:
+            pytest.skip("file names here are limited to fewer than 255 bytes")
+        out = tmp_path / ("r" * 250 + ".json")
+        result = runner.invoke(cli, ["evaluate", "--manifest", str(bundle), "--out", str(out), "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert read_report(out).sample_count == 300
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "gen.json", out.name]
+
     def test_weighted_never_worse_than_majority(self, bundle, tmp_path, runner):
         weights_path = tmp_path / "w.json"
         assert (

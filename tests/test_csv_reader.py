@@ -235,6 +235,26 @@ class TestPinnedSemantics:
         with pytest.raises(FormatError, match="bad header"):
             load_labels(_write(tmp_path, "\nsample_id,label\n", "l.csv"), 2)
 
+    def test_a_huge_class_count_fails_on_the_header_cell_count_alone(self, tmp_path):
+        # No list, cache key or message grows with C before the first
+        # record's cell count is compared with C + 1.
+        p = _write(tmp_path, "sample_id\na\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                load_predictions(p, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{p}: bad header, expected sample_id,p0,...,p999999"
+        assert len(str(info.value)) < 200
+        assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("c, shown", [(10, ",".join(f"p{i}" for i in range(10))), (11, "p0,...,p10")])
+    def test_a_wide_header_is_shown_by_its_ends(self, tmp_path, c, shown):
+        with pytest.raises(FormatError, match=f"bad header, expected sample_id,{re.escape(shown)}$"):
+            load_predictions(_write(tmp_path, "sample_id,p0\na,1.0\n"), c)
+
     @pytest.mark.parametrize(
         "body, message",
         [

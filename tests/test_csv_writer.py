@@ -19,7 +19,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from softvote import LabeledSamples, PredictionSet, argmax_classes, write_labels, write_predictions
+from softvote import (
+    LabeledSamples,
+    PredictionSet,
+    argmax_classes,
+    read_weights,
+    write_labels,
+    write_predictions,
+    write_weights,
+)
 from softvote import ingest
 
 DEFAULT_BLOCK_CELLS = ingest._BLOCK_CELLS
@@ -99,7 +107,7 @@ class TestMatchesCsvWriter:
         assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
         predicted = argmax_classes(ps.probs)
-        header = ingest._prob_columns(ps.num_classes) + ["predicted"]
+        header = ingest._header("p{}", ps.num_classes) + ["predicted"]
         text = "".join(ingest._csv_text(header, ps.sample_ids, ps.probs, predicted))
         assert text == reference_fused_text(ps.sample_ids, ps.probs, predicted)
 
@@ -139,3 +147,22 @@ class TestAtomicReplace:
         assert got == [b"a\nb\n"]
         assert stat.S_ISFIFO(pipe.stat().st_mode)
         assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_a_name_of_the_longest_length_is_written(self, tmp_path):
+        long_name = _longest_name(tmp_path, ".json")
+        target = tmp_path / long_name
+        write_weights([0.25, 0.75], 0.5, target)
+        assert read_weights(target)[0].tolist() == [0.25, 0.75]
+        assert os.listdir(tmp_path) == [long_name]
+        ps = PredictionSet("m", ("a", "bad\ud800"), [[0.5, 0.5]] * 2)
+        with pytest.raises(UnicodeEncodeError):
+            write_predictions(ps, target)
+        assert os.listdir(tmp_path) == [long_name]
+        assert read_weights(target)[0].tolist() == [0.25, 0.75]
+
+
+def _longest_name(directory, suffix):
+    """A file name of 255 bytes, the usual NAME_MAX; skips where the file system allows fewer."""
+    if os.pathconf(directory, "PC_NAME_MAX") < 255:
+        pytest.skip("file names here are limited to fewer than 255 bytes")
+    return "w" * (255 - len(suffix)) + suffix

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,6 +191,19 @@ class TestRoundTrips:
 
     def test_ga_config_round_trip(self, tmp_path):
         config = GAConfig(population_size=30, elite_fraction=0.3, seed=99)
+        p = tmp_path / "ga.json"
+        write_ga_config(config, p)
+        assert read_ga_config(p) == config
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"elite_fraction": np.float32(0.25)}, {"mutation_rate": Fraction(1, 20)}, {"fitness_sample_fraction": 1}],
+        ids=["float32", "fraction", "int"],
+    )
+    def test_ga_config_fractions_are_stored_as_float(self, tmp_path, values):
+        config = GAConfig(**values)
+        (name, value), = values.items()
+        assert type(getattr(config, name)) is float and getattr(config, name) == float(value)
         p = tmp_path / "ga.json"
         write_ga_config(config, p)
         assert read_ga_config(p) == config

@@ -1,5 +1,11 @@
-"""The blocked population scorer must equal fuse-then-nll bit for bit."""
+"""The blocked population scorer must equal fuse-then-nll bit for bit.
 
+Both sides share one fusion function, ``core._weighted_fusion``, and one
+NLL step, ``metrics._mean_nll``; ``TestOneKernel`` pins that every entry
+point goes through them.
+"""
+
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softvote import EmptyInputError, brute_force_weights, fuse_weighted, metrics, nll
+from softvote import (
+    EmptyInputError,
+    GAConfig,
+    brute_force_weights,
+    core,
+    evaluate,
+    fuse_majority,
+    fuse_weighted,
+    metrics,
+    nll,
+    run_ga,
+)
 from softvote.synthgen import _simplex_grid
 
 from conftest import random_ensemble
@@ -153,3 +170,63 @@ class TestRepeatedRows:
         best = int(np.argmin(want))
         assert weights.tobytes() == grid[best].tobytes()
         assert value == want[best]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of calls to the shared fusion and NLL functions, through every module that holds them."""
+    calls = {"fusion": 0, "nll": 0}
+
+    def counting(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    fusion = counting("fusion", core._weighted_fusion)
+    monkeypatch.setattr(core, "_weighted_fusion", fusion)
+    monkeypatch.setattr(metrics, "_weighted_fusion", fusion)
+    monkeypatch.setattr(metrics, "_mean_nll", counting("nll", metrics._mean_nll))
+    return calls
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize(
+        "call, scores",
+        [
+            (lambda inputs: fuse_weighted(inputs, [1.0, 2.0, 3.0]), False),
+            (fuse_majority, False),
+            (evaluate, True),
+            (lambda inputs: evaluate(inputs, [1.0, 2.0, 3.0]), True),
+            (lambda inputs: run_ga(inputs, GAConfig(population_size=10, generations=2)), True),
+            (lambda inputs: brute_force_weights(inputs, grid_step=0.25), True),
+        ],
+        ids=["fuse_weighted", "fuse_majority", "evaluate", "evaluate-weighted", "run_ga", "brute_force_weights"],
+    )
+    def test_every_fusion_and_score_goes_through_the_shared_functions(self, kernel_calls, call, scores):
+        inputs = random_ensemble(np.random.default_rng(5), 3, 40, 4)
+        call(inputs)
+        assert kernel_calls["fusion"] >= 1
+        assert (kernel_calls["nll"] >= 1) == scores
+
+    def test_nll_and_the_population_scorer_share_the_nll_step(self, kernel_calls):
+        inputs = random_ensemble(np.random.default_rng(6), 3, 40, 4)
+        fused = fuse_majority(inputs)
+        assert kernel_calls == {"fusion": 1, "nll": 0}
+        nll(fused, inputs.label_array)
+        assert kernel_calls == {"fusion": 1, "nll": 1}
+        metrics._population_nll(np.full((4, 3), 0.5), metrics._true_class_probs(inputs))
+        assert kernel_calls == {"fusion": 2, "nll": 2}  # four equal rows: one block of one distinct row
+
+    def test_fuse_weighted_holds_at_most_two_fused_arrays(self):
+        inputs = random_ensemble(np.random.default_rng(7), 8, 20_000, 10)
+        one = inputs.num_samples * inputs.num_classes * 8
+        tracemalloc.start()
+        try:
+            fused = fuse_weighted(inputs, np.arange(1.0, 9.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fused.shape == (20_000, 10)
+        assert peak <= 2 * one + 64 * 1024, peak
