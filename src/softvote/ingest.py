@@ -55,17 +55,20 @@ for labels a value outside [0, C).
 
 Each load of a regular CSV file is cached in ``.softvote-cache/`` beside
 it, one entry per file, written only after ``build`` accepted the file.
-An entry holds one JSON line (the key, a BLAKE2b digest of the payload
-and the byte count of its ids), then the payload: the sample ids as a
-JSON array and the values as raw little-endian float64 or int64. The key
-is a BLAKE2b digest of the file's exact bytes, the header's column name
-and count, the value dtype and ``_CACHE_FORMAT``; no file time or size
-is part of it, so one labels entry serves every C. A load whose key
-matches an intact entry skips the parse and passes the cached ids and
-values to ``build``, so every row, id and label range is checked as on a first
-load. Any other entry is ignored and the file is parsed, and a failed
-write of an entry is ignored, so the cache changes no result and no
-error.
+``write_predictions`` and ``write_labels`` store the same entry for each
+regular file they write, unless its bytes hold a double quote or a NUL
+(which the reader hands to csv.reader) or an id past the csv field limit.
+An entry holds one JSON line (the key, a CRC-32 of the payload and the
+byte count of its ids), then the payload: the sample ids as a JSON array
+and the values as raw little-endian float64 or int64. The key is a
+BLAKE2b digest of the file's exact bytes, the header's column name and
+count, the value dtype, the csv field limit and ``_CACHE_FORMAT``; no
+file time or size is part of it, so one labels entry serves every C. A
+load whose key matches an intact entry skips the parse and passes the
+cached ids and values to ``build``, so every row, id and label range is
+checked as on a first load. Any other entry is ignored and the file is
+parsed, and a failed write of an entry is ignored, so the cache changes
+no result and no error.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ import math
 import os
 import re
 import sys
+import zlib
 from _blake2 import blake2b  # hashlib re-exports it, but importing hashlib loads OpenSSL
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -250,16 +254,26 @@ def _table_blocks(path: Path, column: str, width: int, text: str) -> Iterator[tu
 
 # Part of every cache key: a change to the entry layout or to what a parse
 # accepts or returns must change it, so that older entries stop matching.
-_CACHE_FORMAT = "softvote-cache 3"
+_CACHE_FORMAT = "softvote-cache 4"
 _CACHE_DIR = ".softvote-cache"
-_ENTRY_SCHEMA = {"key": str, "digest": str, "ids": int}
+_ENTRY_SCHEMA = {"key": str, "digest": int, "ids": int}
 
 
-def _cache_key(data: bytes, column: str, width: int, dtype: type) -> str:
-    """A digest of a CSV's exact bytes and of everything its parse depends on."""
-    digest = blake2b(json.dumps([_CACHE_FORMAT, column, width, np.dtype(dtype).str]).encode() + b"\0")
+def _cache_key(column: str, width: int, dtype: type, data: bytes = b""):
+    """A BLAKE2b of everything a parse depends on, then of ``data``; fed all of a CSV's bytes, it is their key."""
+    parse = [_CACHE_FORMAT, column, width, np.dtype(dtype).str, csv.field_size_limit()]
+    digest = blake2b(json.dumps(parse).encode() + b"\0")
     digest.update(data)
-    return digest.hexdigest()
+    return digest
+
+
+def _entry_path(path: Path) -> Path:
+    return path.parent / _CACHE_DIR / f"{path.name}.entry"
+
+
+def _payload_digest(head, tail=b"") -> int:
+    """The CRC-32 of an entry's payload, ``head`` then ``tail``: its integrity check (the key is its identity)."""
+    return zlib.crc32(tail, zlib.crc32(head))
 
 
 def _cached(entry: Path, key: str, dtype: type, width: int) -> tuple[tuple[str, ...], np.ndarray] | None:
@@ -267,7 +281,7 @@ def _cached(entry: Path, key: str, dtype: type, width: int) -> tuple[tuple[str, 
     try:
         head, _, payload = _read_bytes(entry).partition(b"\n")
         meta = _typed(json.loads(head), _ENTRY_SCHEMA, entry, "cache entry")
-        if meta["key"] != key or blake2b(payload).hexdigest() != meta["digest"]:
+        if meta["key"] != key or _payload_digest(payload) != meta["digest"]:
             return None
         ids = json.loads(payload[: meta["ids"]])
         values = np.frombuffer(payload, np.dtype(dtype).newbyteorder("<"), offset=meta["ids"])
@@ -282,9 +296,7 @@ def _store(entry: Path, key: str, ids: tuple[str, ...], values: np.ndarray) -> N
     """Write ``ids`` and ``values`` to ``entry`` for ``key``; a failed write is ignored."""
     values = np.ascontiguousarray(values, values.dtype.newbyteorder("<"))
     ids_json = json.dumps(ids).encode()
-    digest = blake2b(ids_json)
-    digest.update(values)
-    meta = {"key": key, "digest": digest.hexdigest(), "ids": len(ids_json)}
+    meta = {"key": key, "digest": _payload_digest(ids_json, values), "ids": len(ids_json)}
     try:
         entry.parent.mkdir(exist_ok=True)
         _write_bytes(entry, [json.dumps(meta).encode() + b"\n", ids_json, values.data])
@@ -318,8 +330,8 @@ def _read_table(
     reads. A hit skips the parse and still hands the ids and values to ``build``.
     """
     data = _read_bytes(path)
-    key = _cache_key(data, column, width, dtype)
-    entry = path.parent / _CACHE_DIR / f"{path.name}.entry" if path.is_file() else None
+    key = _cache_key(column, width, dtype, data).hexdigest()
+    entry = _entry_path(path) if path.is_file() else None
     cached = _cached(entry, key, dtype, width) if entry is not None else None
     if cached is not None:
         try:
@@ -398,20 +410,20 @@ def _csv_text(
         yield "".join([f"{sid},{','.join(map(repr, row))}{end}" for sid, row, end in zip(ids, rows, ends)])
 
 
-def _write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
+def _write_bytes(path: str | Path, chunks: Iterable[bytes]) -> bool:
     """Write ``chunks`` to a new file beside ``path``, then move it onto ``path``.
 
     The temp file is opened with mode "x", so it is new and the umask sets
     its permissions, and its name's length does not depend on the target's.
     On any exception it is removed and ``path`` is left as it was. A target
     that exists and is not a regular file, such as ``/dev/null`` or a pipe,
-    is written in place instead of being replaced.
+    is written in place instead of being replaced. Returns whether it was replaced.
     """
     path = Path(path)
     if path.exists() and not path.is_file():
         with open(path, "wb") as fh:
             fh.writelines(chunks)
-        return
+        return False
     tmp = path.with_name(f".softvote-{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
@@ -424,11 +436,37 @@ def _write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
         except OSError:
             pass
         raise
+    return True
 
 
 def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """``_write_bytes`` of ``chunks`` encoded as UTF-8."""
     _write_bytes(path, (chunk.encode("utf-8") for chunk in chunks))
+
+
+def _write_table(path: str | Path, column: str, sample_ids: tuple[str, ...], values: np.ndarray) -> None:
+    """Write ``values`` as a CSV headed ``_header(column, width)``, and the entry a load of it would cache.
+
+    The bytes are hashed into the key as they are written. Shortest-repr
+    floats parse back bit for bit, and a hit still runs the loader's checks.
+    A target not replaced, bytes csv.reader would read (a quote, or a NUL,
+    which Python 3.10 refuses) and an id past the field limit get no entry.
+    """
+    path = Path(path)
+    width = values.shape[1]
+    digest = _cache_key(column, width, values.dtype)
+    plain = max(map(len, sample_ids), default=0) <= csv.field_size_limit()
+
+    def hashed(chunks: Iterable[str]) -> Iterator[bytes]:
+        nonlocal plain
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            plain = plain and b'"' not in data and b"\0" not in data
+            digest.update(data)
+            yield data
+
+    if _write_bytes(path, hashed(_csv_text(_header(column, width), sample_ids, values))) and plain:
+        _store(_entry_path(path), digest.hexdigest(), sample_ids, values)
 
 
 def load_predictions(path: str | Path, num_classes: int, name: str | None = None) -> PredictionSet:
@@ -456,8 +494,7 @@ def load_predictions(path: str | Path, num_classes: int, name: str | None = None
 
 
 def write_predictions(predictions: PredictionSet, path: str | Path) -> None:
-    header = _header("p{}", predictions.num_classes)
-    _write_text(path, _csv_text(header, predictions.sample_ids, predictions.probs))
+    _write_table(path, "p{}", predictions.sample_ids, predictions.probs)
 
 
 def load_labels(path: str | Path, num_classes: int) -> LabeledSamples:
@@ -482,8 +519,7 @@ def load_labels(path: str | Path, num_classes: int) -> LabeledSamples:
 
 
 def write_labels(labels: LabeledSamples, path: str | Path) -> None:
-    column = labels.labels.reshape(-1, 1)
-    _write_text(path, _csv_text(["sample_id", "label"], labels.sample_ids, column))
+    _write_table(path, "label", labels.sample_ids, labels.labels.reshape(-1, 1))
 
 
 # --------------------------------------------------------------- JSON I/O

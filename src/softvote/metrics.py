@@ -113,7 +113,11 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
     n_samples = true_probs.shape[1]
     if n_samples == 0:
         raise EmptyInputError("need at least one sample")
-    distinct, inverse = np.unique(genes, axis=0, return_inverse=True)
+    # + 0.0 turns -0.0 into 0.0, so equal rows have equal bytes: one void item each.
+    rows = np.ascontiguousarray(genes + 0.0)
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = rows[first]
     n_rows = distinct.shape[0]
     totals = distinct.sum(axis=1)
     degenerate = totals <= DEGENERATE_GENE_SUM
@@ -128,7 +132,7 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
         acc = _weighted_fusion(weights, true_probs, totals[start:stop, None], *scratch[:, : stop - start])
         out[start:stop] = _mean_nll(acc)
     out[degenerate] = np.inf
-    # numpy 2.0.0 gives the inverse of an axis=0 unique a second axis.
+    # numpy 2.0.0 shapes the inverse like the input; keep it flat.
     return out[inverse.reshape(-1)]
 
 

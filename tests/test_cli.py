@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -66,7 +67,41 @@ def _tree_bytes(root: Path) -> dict:
 class TestSimulate:
     def test_writes_expected_files(self, bundle):
         names = {p.name for p in bundle.parent.iterdir()}
-        assert names == {"manifest.json", "labels.csv", "strong.csv", "mid.csv", "weak.csv"}
+        assert names == {"manifest.json", "labels.csv", "strong.csv", "mid.csv", "weak.csv", ".softvote-cache"}
+        entries = {p.name for p in (bundle.parent / ".softvote-cache").iterdir()}
+        assert entries == {"labels.csv.entry", "strong.csv.entry", "mid.csv.entry", "weak.csv.entry"}
+
+    def test_later_commands_parse_nothing_and_match_a_cold_cache(self, tmp_path, runner, monkeypatch):
+        # simulate caches every CSV it writes, so the commands after it parse
+        # no cell; with the cache removed they parse, and write the same
+        # bytes and the same entries.
+        calls = []
+        convert = softvote.ingest._convert
+        monkeypatch.setattr(softvote.ingest, "_convert", lambda *args: calls.append(1) or convert(*args))
+        spec_path = tmp_path / "gen.json"
+        spec_path.write_text(json.dumps(GEN_SPEC), encoding="utf-8")
+        bundle = tmp_path / "bundle"
+        manifest = str(bundle / "manifest.json")
+        assert runner.invoke(cli, ["simulate", "--config", str(spec_path), "--out", str(bundle)]).exit_code == 0
+        written = _tree_bytes(bundle / ".softvote-cache")
+
+        def outputs(tag):
+            weights, report, fused = (tmp_path / f"{tag}{name}" for name in ("w.json", "r.json", "f.csv"))
+            for args in (
+                ["search-weights", "--manifest", manifest, "--seed", "3", "--out", str(weights)],
+                ["evaluate", "--manifest", manifest, "--weights", str(weights), "--format", "json", "--out", str(report)],
+                ["fuse", "--manifest", manifest, "--weights", str(weights), "--out", str(fused)],
+            ):
+                result = runner.invoke(cli, args)
+                assert result.exit_code == 0, result.output
+            return [p.read_bytes() for p in (weights, report, fused)]
+
+        warm = outputs("warm")
+        assert calls == []
+        shutil.rmtree(bundle / ".softvote-cache")
+        assert outputs("cold") == warm
+        assert calls
+        assert _tree_bytes(bundle / ".softvote-cache") == written
 
     def test_same_seed_is_byte_identical(self, tmp_path, runner):
         spec_path = tmp_path / "gen.json"

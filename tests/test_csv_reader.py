@@ -20,7 +20,6 @@ import shutil
 import sys
 import threading
 import tracemalloc
-from hashlib import blake2b
 
 import numpy as np
 import pytest
@@ -392,7 +391,7 @@ def _rewritten_entry(entry, drop_rows=0, ids=None):
     row = (len(payload) - meta["ids"]) // len(json.loads(payload[: meta["ids"]]))
     ids_json = payload[: meta["ids"]] if ids is None else json.dumps(ids).encode()
     payload = ids_json + payload[meta["ids"] : len(payload) - drop_rows * row]
-    meta["digest"], meta["ids"] = blake2b(payload).hexdigest(), len(ids_json)
+    meta["digest"], meta["ids"] = ingest._payload_digest(payload), len(ids_json)
     return json.dumps(meta).encode() + b"\n" + payload
 
 
@@ -461,6 +460,18 @@ class TestLoadCache:
             load_labels(p, 2)
         assert str(warm.value) == str(cold.value) == f"{p}: row 3: label 2 outside [0, 2)"
         assert not _entry(p).exists()
+
+    def test_an_entry_stored_under_a_larger_field_limit_is_not_served_under_a_smaller_one(self, tmp_path):
+        p = _write(tmp_path, "sample_id,label\n" + "x" * 20 + ",1\n")
+        old = csv.field_size_limit(20)
+        try:
+            assert load_labels(p, 2).labels.tolist() == [1]
+            assert _entry(p).exists()
+            csv.field_size_limit(19)
+            with pytest.raises(FormatError, match="row 2: field larger than field limit"):
+                load_labels(p, 2)
+        finally:
+            csv.field_size_limit(old)
 
     def test_a_file_in_place_of_the_cache_directory_only_costs_speed(self, tmp_path, convert_calls):
         (tmp_path / ".softvote-cache").write_bytes(b"not a directory\n")
@@ -586,15 +597,15 @@ class TestRoundTripProperty:
     @given(ps=prediction_sets(), block=st.sampled_from(BLOCK_SIZES))
     def test_valid_sets_read_back_bit_identical(self, tmp_path, monkeypatch, convert_calls, ps, block):
         # The second load of each file comes from the cache entry the first
-        # one wrote: the same ids and value bytes, with no cell parsed. An
-        # earlier example may have cached the same bytes, so start empty.
+        # one wrote: the same ids and value bytes, with no cell parsed. The
+        # writes store entries too, so the first load starts with none.
         _use_block(monkeypatch, block)
-        shutil.rmtree(tmp_path / ".softvote-cache", ignore_errors=True)
         p = tmp_path / "m.csv"
         write_predictions(ps, p)
         labels = LabeledSamples(ps.sample_ids, [i % ps.num_classes for i in range(ps.num_samples)])
         lp = tmp_path / "l.csv"
         write_labels(labels, lp)
+        shutil.rmtree(tmp_path / ".softvote-cache", ignore_errors=True)
         for warm in (False, True):
             convert_calls.clear()
             again = load_predictions(p, ps.num_classes)

@@ -11,6 +11,7 @@ quotes it.)
 import csv
 import io
 import os
+import shutil
 import stat
 import threading
 
@@ -20,9 +21,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from softvote import (
+    FormatError,
     LabeledSamples,
     PredictionSet,
     argmax_classes,
+    load_labels,
+    load_predictions,
     read_weights,
     write_labels,
     write_predictions,
@@ -133,7 +137,7 @@ class TestAtomicReplace:
         write_labels(LabeledSamples(("a",), [0]), target)
         assert target.read_bytes() == b"sample_id,label\na,0\n"
         assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
-        assert os.listdir(tmp_path) == ["l.csv"]
+        assert sorted(os.listdir(tmp_path)) == [".softvote-cache", "l.csv"]
 
     def test_a_pipe_target_is_written_in_place(self, tmp_path):
         pipe = tmp_path / "pipe"
@@ -159,6 +163,104 @@ class TestAtomicReplace:
             write_predictions(ps, target)
         assert os.listdir(tmp_path) == [long_name]
         assert read_weights(target)[0].tolist() == [0.25, 0.75]
+
+
+@st.composite
+def id_lists(draw):
+    """0 to 12 unique ids; in half the lists, ids may hold a NUL or a character the writer quotes."""
+    special = ',"\r\n\0'
+    if draw(st.booleans()):
+        chars = st.one_of(st.sampled_from(list(special)), st.characters(blacklist_categories=("Cs",)))
+    else:
+        chars = st.characters(blacklist_categories=("Cs",), blacklist_characters=special)
+    s = draw(st.integers(0, 12))
+    return draw(st.lists(st.text(chars, max_size=6), min_size=s, max_size=s, unique=True))
+
+
+def _entry_bytes(p):
+    """The bytes of the cache entry beside ``p``, or None."""
+    entry = ingest._entry_path(p)
+    return entry.read_bytes() if entry.exists() else None
+
+
+class TestWrittenEntry:
+    """A predictions or labels CSV is written with the entry a load of it would store."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        ids=id_lists(),
+        c=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from(BLOCK_SIZES),
+    )
+    @example(ids=[], c=1, seed=0, block=DEFAULT_BLOCK_CELLS)
+    @example(ids=["a\0b", "c"], c=2, seed=0, block=DEFAULT_BLOCK_CELLS)
+    @example(ids=['q"', "é"], c=3, seed=0, block=1)
+    def test_entry_is_the_one_a_cold_load_stores(self, tmp_path, monkeypatch, ids, c, seed, block):
+        monkeypatch.setattr(ingest, "_BLOCK_CELLS", block)
+        shutil.rmtree(tmp_path / ".softvote-cache", ignore_errors=True)
+        rng = np.random.default_rng(seed)
+        ps = PredictionSet("m", tuple(ids), rng.dirichlet(np.ones(c), size=len(ids)))
+        labels = LabeledSamples(tuple(ids), rng.integers(0, c, size=len(ids)))
+        p, lp = tmp_path / "m.csv", tmp_path / "l.csv"
+        write_predictions(ps, p)
+        write_labels(labels, lp)
+        loads = {p: lambda: load_predictions(p, c), lp: lambda: load_labels(lp, c)}
+        written = {path: _entry_bytes(path) for path in loads}
+        for path, load in loads.items():
+            data = path.read_bytes()
+            if b'"' in data or b"\0" in data:
+                assert written[path] is None
+            else:
+                # The entry a cold load stores once the cache is removed.
+                shutil.rmtree(tmp_path / ".softvote-cache")
+                load()
+                assert written[path] == _entry_bytes(path)
+
+    @pytest.mark.parametrize(
+        "write, table",
+        [
+            (write_predictions, PredictionSet("m", ("a", "b", "bad\ud800"), [[0.5, 0.5]] * 3)),
+            (write_labels, LabeledSamples(("a", "b", "bad\ud800"), [0, 1, 0])),
+        ],
+        ids=["predictions", "labels"],
+    )
+    def test_a_failed_write_leaves_no_file_and_no_entry(self, tmp_path, monkeypatch, write, table):
+        # The third row's id cannot be encoded, so the write fails after two rows.
+        monkeypatch.setattr(ingest, "_BLOCK_CELLS", 3)
+        with pytest.raises(UnicodeEncodeError):
+            write(table, tmp_path / "m.csv")
+        assert os.listdir(tmp_path) == []
+
+    def test_a_name_too_long_for_its_entry_is_written_without_one(self, tmp_path):
+        target = tmp_path / _longest_name(tmp_path, ".csv")
+        ps = PredictionSet("m", ("a", "b"), [[0.25, 0.75], [1.0, 0.0]])
+        write_predictions(ps, target)
+        assert load_predictions(target, 2).probs.tobytes() == ps.probs.tobytes()
+        assert not any((tmp_path / ".softvote-cache").iterdir())
+
+    def test_an_id_past_the_field_limit_gets_no_entry(self, tmp_path):
+        # A load refuses such an id, so an entry would turn its error into a result.
+        p = tmp_path / "m.csv"
+        old = csv.field_size_limit(len("sample_id"))
+        try:
+            write_predictions(PredictionSet("m", ("0123456789",), [[1.0]]), p)
+            assert not (tmp_path / ".softvote-cache").exists()
+            with pytest.raises(FormatError, match="row 2: field larger than field limit"):
+                load_predictions(p, 1)
+        finally:
+            csv.field_size_limit(old)
+
+    def test_a_pipe_target_gets_no_entry(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        write_labels(LabeledSamples(("a",), [0]), pipe)
+        reader.join(timeout=10)
+        assert got == [b"sample_id,label\na,0\n"]
+        assert os.listdir(tmp_path) == ["pipe"]
 
 
 def _longest_name(directory, suffix):

@@ -61,3 +61,19 @@ def test_readme_quick_start_runs_as_written(tmp_path):
     lines = [line for line in run.stderr.splitlines() if re.match("generation |full-data nll: ", line)]
     steps = [re.sub(r": [0-9.]+$", ":", re.sub("=.*", "", line)) for line in lines]
     assert steps == [f"generation {g}: best_nll" for g in range(5)] + ["full-data nll:"]
+
+
+def test_a_failing_property_test_does_not_end_the_run(tmp_path):
+    # With this repository's pytest settings (warnings are errors), a failing
+    # @given test must be reported as one failure, and the run must go on.
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(n):\n    assert n < 0\n\n\n"
+        "def test_passes():\n    pass\n",
+        encoding="utf-8",
+    )
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml")]
+    command += ["--rootdir", str(tmp_path), "test_two.py"]
+    run = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
