@@ -425,7 +425,11 @@ def _write_bytes(path: str | Path, chunks: Iterable[bytes]) -> bool:
             fh.writelines(chunks)
         return False
     tmp = path.with_name(f".softvote-{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        exc.filename = str(path)  # the error names the target, not the random temp name
+        raise
     try:
         with fh:
             fh.writelines(chunks)

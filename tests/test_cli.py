@@ -543,6 +543,12 @@ class TestExitCodes:
         )
         assert result.exit_code == 2
 
+    def test_out_in_a_missing_directory_names_the_out_path(self, bundle, tmp_path, runner):
+        out = tmp_path / "missing" / "r.json"
+        result = runner.invoke(cli, ["evaluate", "--manifest", str(bundle), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+
     def test_corrupt_predictions_is_validation_error(self, bundle, tmp_path, runner):
         manifest = json.loads(bundle.read_text(encoding="utf-8"))
         victim = bundle.parent / manifest["classifiers"][0]["path"]

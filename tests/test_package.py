@@ -1,8 +1,11 @@
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import softvote
 
@@ -20,6 +23,89 @@ def test_public_names():
     assert set(names) <= set(namespace)
     removed = {"Chromosome", "BreedingError", "GenerationStats", "draw_fitness_sample", "default_class_names"}
     assert not removed & set(dir(softvote))
+
+
+def _python(args, cwd=None, **env):
+    """``python *args`` on the checkout's src/, with no OPENBLAS_NUM_THREADS unless ``env`` sets it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base.update(PYTHONPATH=str(ROOT / "src"), **env)
+    run = subprocess.run([sys.executable, *args], cwd=cwd, env=base, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+_IMPORT_ALONE = """
+import json, os, sys
+import softvote
+state = {
+    "loaded": sorted(m for m in sys.modules if m == "numpy" or m.startswith(("numpy.", "softvote."))),
+    "variable": os.environ.get("OPENBLAS_NUM_THREADS"),
+}
+for name in softvote.__all__:
+    getattr(softvote, name)
+state["not_kept"] = [n for n in softvote.__all__ if n not in vars(softvote)]
+state["undir"] = sorted(set(softvote.__all__) - set(dir(softvote)))
+try:
+    softvote.no_such_name
+except AttributeError as exc:
+    state["unknown"] = str(exc)
+print(json.dumps(state))
+"""
+
+
+class TestLazyImport:
+    def test_import_alone_loads_nothing_and_every_name_resolves(self):
+        state = json.loads(_python(["-c", _IMPORT_ALONE]))
+        assert state["loaded"] == []
+        assert state["variable"] is None
+        assert state["not_kept"] == []
+        assert state["undir"] == []
+        assert state["unknown"] == "module 'softvote' has no attribute 'no_such_name'"
+
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+    def test_cli_import_sets_one_openblas_thread_unless_set(self, given, expected):
+        env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+        code = "import os, softvote.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _python(["-c", code], **env) == f"{expected}\n"
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="no /proc/self/status to count this process's threads"
+    )
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import softvote.cli",
+            # The `python -m softvote.cli` path, as perfbench/child.py takes it.
+            "import runpy, sys; sys.argv = ['softvote', '--help']\n"
+            "try:\n    runpy.run_module('softvote.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit:\n    pass",
+        ],
+        ids=["import", "run-module"],
+    )
+    def test_cli_starts_no_thread(self, code):
+        code += "\nprint(next(l for l in open('/proc/self/status') if l.startswith('Threads:')), end='')"
+        assert _python(["-c", code]).splitlines()[-1].split() == ["Threads:", "1"]
+
+    def test_chain_writes_the_same_bytes_whatever_the_openblas_threads(self, tmp_path):
+        profiles = [{"name": n, "accuracy": a, "sharpness": 2.0} for n, a in (("a", 0.9), ("b", 0.7), ("c", 0.6))]
+        spec = {"num_classes": 4, "num_samples": 300, "seed": 3, "classifiers": profiles}
+        manifest = ["--manifest", "bundle/manifest.json"]
+        weighted = [*manifest, "--weights", "w.json"]
+        trees = []
+        for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            work = tmp_path / str(len(trees))
+            work.mkdir()
+            (work / "gen.json").write_text(json.dumps(spec), encoding="utf-8")
+            for args in (
+                ["simulate", "--config", "gen.json", "--out", "bundle"],
+                ["search-weights", *manifest, "--seed", "5", "--out", "w.json"],
+                ["evaluate", *weighted, "--format", "json", "--out", "r.json"],
+                ["fuse", *weighted, "--out", "f.csv"],
+            ):
+                _python(["-m", "softvote.cli", *args], cwd=work, **env)
+            trees.append({p.relative_to(work).as_posix(): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()})
+        assert {"w.json", "r.json", "f.csv", "bundle/manifest.json"} <= set(trees[0])
+        assert trees[0] == trees[1]
 
 
 def _block(text, heading):
