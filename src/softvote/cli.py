@@ -70,7 +70,11 @@ def _load_for_subset(
     before any CSV is parsed. Without a weights file the weights are None.
     """
     manifest = ingest.read_manifest(manifest_path)
+    index = {entry.name: i for i, entry in enumerate(manifest.classifiers)}
     names = _parse_subset(subset)
+    unknown = next((name for name in names or () if name not in index), None)
+    if unknown is not None:
+        raise ValidationError(f"unknown classifier '{unknown}'")  # EnsembleInputs.subset's message
     weights = None
     if weights_path is not None:
         weights, _ = ingest.read_weights(weights_path)
@@ -83,9 +87,7 @@ def _load_for_subset(
     if names is not None:
         inputs = inputs.subset(names)
         if weights is not None:
-            # Re-bind weights by classifier name so a subset cannot misalign
-            # them; inputs.subset has already rejected unknown names.
-            index = {entry.name: i for i, entry in enumerate(manifest.classifiers)}
+            # Re-bind weights by classifier name so a subset cannot misalign them.
             weights = weights[[index[n] for n in names]]
     return manifest, inputs, weights
 

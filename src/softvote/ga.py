@@ -38,12 +38,12 @@ into an (N, S) matrix and scores the whole population against it with one
 blocked kernel, :func:`metrics._population_nll`, on the calling thread.
 
 ``run_ga`` holds the population as one (P, N) float64 gene array and
-breeds each next generation into a second, preallocated one. The steps
-above run only on those arrays. An ``on_generation`` callback sees each
-generation as a :class:`GASnapshot` of read-only arrays: the scored
-population is ``genes`` with its ``fitness``, parent k is row
-``parent_rows[k]`` of it, and ``next_genes`` holds the K parents, mutated
-where ``mutated`` says so, followed by the children.
+breeds each next generation in it: the parents go to its first K rows
+and are mutated there, and the children fill the rows after them. An
+``on_generation`` callback sees each generation as a :class:`GASnapshot`
+of read-only copies: the scored population is ``genes`` with its
+``fitness``, parent k is row ``parent_rows[k]`` of it, and ``next_genes``
+holds the K parents, mutated where ``mutated`` says so, then the children.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ import numpy as np
 
 from . import metrics
 from .core import EnsembleInputs, _frozen
-from .errors import ConfigError, EmptyInputError, ValidationError, _integer, _real
+from .errors import ConfigError, EmptyInputError, _integer, _real
 from .rng import check_seed, make_rng
 
-# Upper limits on the search's counts. A run holds two (population_size, N)
-# gene arrays and breeds ``generations`` times, so a larger count is a
+# Upper limits on the search's counts. A run holds a (population_size, N)
+# gene array and breeds ``generations`` times, so a larger count is a
 # ConfigError, not a failed allocation or a search that does not end.
 MAX_POPULATION_SIZE = 100_000
 MAX_GENERATIONS = 100_000
@@ -94,13 +94,6 @@ class GAConfig:
                 f"extra_parent_fraction {self.extra_parent_fraction} selects 1 parent; crossover needs at least 2"
             )
         object.__setattr__(self, "seed", check_seed(self.seed))
-
-
-def _check_genes(genes: np.ndarray) -> None:
-    """Every gene of a row or of a whole (P, N) array lies in [0, 1]."""
-    # NaN fails both comparisons.
-    if not (genes.min() >= 0.0 and genes.max() <= 1.0):
-        raise ValidationError("genes must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,18 +162,14 @@ def _parent_counts(config: GAConfig, n_rows: int) -> tuple[int, int]:
     return n_elite, math.floor(config.extra_parent_fraction * (n_rows - n_elite))
 
 
-def _parent_rows(
-    fitness_values: np.ndarray, config: GAConfig, rng: np.random.Generator
-) -> np.ndarray:
+def _parent_rows(fitness_values: np.ndarray, config: GAConfig, rng: np.random.Generator) -> np.ndarray:
     """Row indices of the parents: elites best first, then the extras."""
-    n_rows = fitness_values.shape[0]
-    n_elite, n_extra = _parent_counts(config, n_rows)
-    elite = np.argsort(fitness_values, kind="stable")[:n_elite]
-    rest = np.ones(n_rows, dtype=bool)
-    rest[elite] = False
-    rest_rows = np.flatnonzero(rest)
+    n_elite, n_extra = _parent_counts(config, fitness_values.shape[0])
+    order = np.argsort(fitness_values, kind="stable")
+    elite = order[:n_elite]
     if not n_extra:
         return elite
+    rest_rows = np.sort(order[n_elite:])
     extras = rest_rows[rng.choice(rest_rows.size, size=n_extra, replace=False)]
     return np.concatenate((elite, extras))
 
@@ -234,24 +223,19 @@ def run_ga(
         raise EmptyInputError("weight search needs at least 2 samples")
     rng = make_rng(config.seed)
     genes = _initial_genes(n, config, rng)
-    next_genes = np.empty_like(genes)
     true_probs = metrics._true_class_probs(inputs)
     for gen in range(config.generations):
         idx = _draw_fitness_sample(s, config.fitness_sample_fraction, rng)
         values = metrics._population_nll(genes, true_probs[:, idx])
         rows = _parent_rows(values, config, rng)
+        scored = None if on_generation is None else genes.copy()  # genes is bred over below
         n_parents = rows.shape[0]
-        next_genes[:n_parents] = genes[rows]
+        genes[:n_parents] = genes[rows]
         # The generation's best survives untouched; the rest face mutation.
-        mutated = [False, *_mutate_rows(next_genes[1:n_parents], config.mutation_rate, rng)]
-        _breed(next_genes, n_parents, rng)
-        _check_genes(next_genes)
+        mutated = [False, *_mutate_rows(genes[1:n_parents], config.mutation_rate, rng)]
+        _breed(genes, n_parents, rng)
         if on_generation is not None:
-            # idx, values and rows are fresh each generation; the gene buffers are reused.
-            on_generation(
-                GASnapshot(gen, idx, genes.copy(), values, rows, np.array(mutated), next_genes.copy())
-            )
-        genes, next_genes = next_genes, genes
+            on_generation(GASnapshot(gen, idx, scored, values, rows, np.array(mutated), genes.copy()))
     candidates = np.vstack((genes, np.full(n, 0.5)))
     full = metrics._population_nll(candidates, true_probs)
     best = int(np.argmin(full))  # ties to the lower index; baseline is last

@@ -410,20 +410,20 @@ def _csv_text(
         yield "".join([f"{sid},{','.join(map(repr, row))}{end}" for sid, row, end in zip(ids, rows, ends)])
 
 
-def _write_bytes(path: str | Path, chunks: Iterable[bytes]) -> bool:
+def _write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` to a new file beside ``path``, then move it onto ``path``.
 
     The temp file is opened with mode "x", so it is new and the umask sets
     its permissions, and its name's length does not depend on the target's.
     On any exception it is removed and ``path`` is left as it was. A target
     that exists and is not a regular file, such as ``/dev/null`` or a pipe,
-    is written in place instead of being replaced. Returns whether it was replaced.
+    is written in place instead of being replaced.
     """
     path = Path(path)
     if path.exists() and not path.is_file():
         with open(path, "wb") as fh:
             fh.writelines(chunks)
-        return False
+        return
     tmp = path.with_name(f".softvote-{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "xb")
@@ -440,7 +440,6 @@ def _write_bytes(path: str | Path, chunks: Iterable[bytes]) -> bool:
         except OSError:
             pass
         raise
-    return True
 
 
 def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
@@ -453,8 +452,8 @@ def _write_table(path: str | Path, column: str, sample_ids: tuple[str, ...], val
 
     The bytes are hashed into the key as they are written. Shortest-repr
     floats parse back bit for bit, and a hit still runs the loader's checks.
-    A target not replaced, bytes csv.reader would read (a quote, or a NUL,
-    which Python 3.10 refuses) and an id past the field limit get no entry.
+    A target that is no regular file after the write, bytes csv.reader would read (a quote,
+    or a NUL, which Python 3.10 refuses) and an id past the field limit get no entry.
     """
     path = Path(path)
     width = values.shape[1]
@@ -469,7 +468,8 @@ def _write_table(path: str | Path, column: str, sample_ids: tuple[str, ...], val
             digest.update(data)
             yield data
 
-    if _write_bytes(path, hashed(_csv_text(_header(column, width), sample_ids, values))) and plain:
+    _write_bytes(path, hashed(_csv_text(_header(column, width), sample_ids, values)))
+    if plain and path.is_file():
         _store(_entry_path(path), digest.hexdigest(), sample_ids, values)
 
 

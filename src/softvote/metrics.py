@@ -116,8 +116,8 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
     # + 0.0 turns -0.0 into 0.0, so equal rows have equal bytes: one void item each.
     rows = np.ascontiguousarray(genes + 0.0)
     keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = rows[first]
+    keys, inverse = np.unique(keys, return_inverse=True)
+    distinct = keys.view(np.float64).reshape(-1, rows.shape[1])
     n_rows = distinct.shape[0]
     totals = distinct.sum(axis=1)
     degenerate = totals <= DEGENERATE_GENE_SUM

@@ -562,8 +562,8 @@ class TestExitCodes:
 class TestSmallInputsBeforeData:
     """Flags and small files are checked before any CSV is parsed.
 
-    Each bundle here lacks one predictions CSV, so a command that parsed
-    the CSVs first would exit 2 with an i/o error instead.
+    Each bundle here lacks one predictions CSV, or holds one with a bad
+    header, so a command that parsed the CSVs first would fail on that file.
     """
 
     @pytest.fixture
@@ -598,6 +598,14 @@ class TestSmallInputsBeforeData:
         result = runner.invoke(cli, [command, "--manifest", str(broken), "--subset", " , "])
         assert result.exit_code == 1
         assert result.stderr == "error: --subset must list at least one classifier name\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "fuse"])
+    @pytest.mark.parametrize("subset", ["nosuch", "strong,nosuch"])
+    def test_unknown_subset_name(self, bundle, runner, command, subset):
+        (bundle.parent / "mid.csv").write_text("id,x\na,1\n", encoding="utf-8")
+        result = runner.invoke(cli, [command, "--manifest", str(bundle), "--subset", subset])
+        assert result.exit_code == 1
+        assert result.stderr == "error: unknown classifier 'nosuch'\n"
 
     def test_search_seed(self, broken, tmp_path, runner):
         out = tmp_path / "w.json"

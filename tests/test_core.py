@@ -136,7 +136,7 @@ class TestEnsembleInputs:
         inputs = random_ensemble(np.random.default_rng(0), 3, 5, 4)
         sub = inputs.subset(["clf2", "clf0"])
         assert sub.classifier_names == ("clf2", "clf0")
-        np.testing.assert_array_equal(sub.tensor[0], inputs.tensor[2])
+        np.testing.assert_array_equal(sub.classifiers[0].probs, inputs.classifiers[2].probs)
         with pytest.raises(ValidationError, match="unknown classifier 'nope'"):
             inputs.subset(["nope"])
         with pytest.raises(ValidationError, match="twice"):
@@ -147,7 +147,9 @@ class TestEnsembleInputs:
         picked = (inputs.sample_ids[4], inputs.sample_ids[1])
         sub = inputs.restrict(picked)
         assert sub.sample_ids == picked
-        np.testing.assert_array_equal(sub.tensor[:, 0, :], inputs.tensor[:, 4, :])
+        np.testing.assert_array_equal(
+            [ps.probs[0] for ps in sub.classifiers], [ps.probs[4] for ps in inputs.classifiers]
+        )
         assert sub.label_array.tolist() == [
             inputs.label_array[4],
             inputs.label_array[1],
@@ -159,7 +161,7 @@ class TestEnsembleInputs:
 class TestFusion:
     def test_majority_single_classifier_is_identity(self):
         inputs = random_ensemble(np.random.default_rng(2), 1, 7, 5)
-        np.testing.assert_array_equal(fuse_majority(inputs), inputs.tensor[0])
+        np.testing.assert_array_equal(fuse_majority(inputs), inputs.classifiers[0].probs)
 
     def test_majority_of_identical_classifiers_is_identity(self):
         rng = np.random.default_rng(3)
@@ -180,7 +182,7 @@ class TestFusion:
     def test_weighted_zero_weight_removes_classifier(self):
         inputs = random_ensemble(np.random.default_rng(5), 2, 8, 3)
         np.testing.assert_array_equal(
-            fuse_weighted(inputs, [1.0, 0.0]), inputs.tensor[0]
+            fuse_weighted(inputs, [1.0, 0.0]), inputs.classifiers[0].probs
         )
 
     def test_weighted_three_to_one(self):
@@ -276,7 +278,7 @@ class TestFusionProperties:
     @given(ensembles_with_weights())
     def test_convexity_bounds(self, case):
         inputs, weights = case
-        tensor = inputs.tensor
+        tensor = np.stack([ps.probs for ps in inputs.classifiers])
         for fused in (fuse_majority(inputs), fuse_weighted(inputs, weights)):
             assert np.all(fused >= tensor.min(axis=0) - 1e-12)
             assert np.all(fused <= tensor.max(axis=0) + 1e-12)

@@ -62,7 +62,11 @@ def test_targets_are_turned_off(tmp_path):
 
 
 def test_pinned_searches_hold():
-    tests = ["tests/test_ga.py::test_search_matches_pinned_results", "tests/test_population_nll.py"]
+    tests = [
+        "tests/test_ga.py::test_search_matches_pinned_results",
+        "tests/test_ga.py::test_continuous_search_matches_pinned_result",
+        "tests/test_population_nll.py",
+    ]
     out = _undispatched(["-m", "pytest", "-q", "-p", "no:cacheprovider", *tests], ROOT)
     assert re.search(r"^\d+ passed in ", out, re.M), out
 

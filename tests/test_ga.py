@@ -10,7 +10,6 @@ from softvote import (
     EmptyInputError,
     GAConfig,
     GeneratorSpec,
-    ValidationError,
     brute_force_weights,
     fuse_majority,
     fuse_weighted,
@@ -20,7 +19,7 @@ from softvote import (
     nll,
     run_ga,
 )
-from softvote.ga import _breed, _check_genes, _draw_fitness_sample, _initial_genes, _mutate_rows, _parent_rows
+from softvote.ga import _breed, _draw_fitness_sample, _initial_genes, _mutate_rows, _parent_rows
 
 from conftest import random_ensemble
 
@@ -87,13 +86,6 @@ class TestGAConfig:
     def test_accepts_any_real_fraction(self):
         config = GAConfig(elite_fraction=np.float64(0.25), mutation_rate=0, extra_parent_fraction=1)
         assert config.elite_fraction == 0.25
-
-
-class TestCheckGenes:
-    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
-    def test_rejects_out_of_range_genes(self, bad):
-        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            _check_genes(np.array([[0.5, 0.5], [0.2, bad]]))
 
 
 class TestInitialGenes:
@@ -316,7 +308,7 @@ class TestRunGA:
     def test_single_classifier_reduces_to_its_nll(self):
         inputs = random_ensemble(np.random.default_rng(5), 1, 60, 4)
         result = run_ga(inputs, GAConfig(seed=9))
-        expected = nll(inputs.tensor[0], inputs.label_array)
+        expected = nll(inputs.classifiers[0].probs, inputs.label_array)
         assert result.full_data_nll == pytest.approx(expected, abs=1e-12)
         np.testing.assert_allclose(result.weights / result.weights.sum(), [1.0])
 
@@ -539,6 +531,41 @@ def test_search_matches_pinned_results(name):
     spec, config = PINNED_SEARCHES[name]
     weights, full_nll, log = PINNED_RESULTS[name]
     result, observed = _logged_run(generate(spec), config)
+    assert [w.hex() for w in result.weights.tolist()] == weights
+    assert repr(result.full_data_nll) == full_nll
+    assert observed == log
+
+
+# A search on continuous rows (Dirichlet, alpha 0.5): a synthgen row holds
+# two distinct values, so its log inputs hardly vary, and a 1-ulp change in
+# the fusion or the log would rarely move the searches above. Recorded with
+# numpy 2.4 on x86-64 (AVX-512), as those were.
+PINNED_CONTINUOUS = (
+    [
+        '0x1.bd1dbc66ca4c8p-3',
+        '0x1.94f4e6f00694bp-1',
+        '0x1.41fc05160ddeep-1',
+        '0x1.08bb36a58f07cp-1',
+        '0x1.0000000000000p-1',
+        '0x1.91cf20be93960p-2',
+        '0x1.0547f49217151p-1',
+        '0x1.1cf3308bc67f4p-1',
+    ],
+    "2.4005259766054525",
+    [
+        (0, '0x1.341a64a1d99f0p+1', '0x1.37e68702bced7p+1'),
+        (1, '0x1.34128eef7c693p+1', '0x1.35d7971d9ca5bp+1'),
+        (2, '0x1.343b3b54411d9p+1', '0x1.357e5383486adp+1'),
+        (3, '0x1.32c8539c66b68p+1', '0x1.3391db7c12435p+1'),
+        (4, '0x1.326bf86147db5p+1', '0x1.331702a677863p+1'),
+    ],
+)
+
+
+def test_continuous_search_matches_pinned_result():
+    inputs = random_ensemble(np.random.default_rng(23), 8, 2000, 10, alpha=0.5)
+    weights, full_nll, log = PINNED_CONTINUOUS
+    result, observed = _logged_run(inputs, GAConfig(seed=9))
     assert [w.hex() for w in result.weights.tolist()] == weights
     assert repr(result.full_data_nll) == full_nll
     assert observed == log

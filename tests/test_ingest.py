@@ -239,7 +239,8 @@ class TestManifestLoading:
         inputs = generate(spec)
         manifest_path = write_ensemble(inputs, tmp_path / "bundle")
         again = load_manifest(manifest_path)
-        assert again.tensor.tobytes() == inputs.tensor.tobytes()
+        for loaded, written in zip(again.classifiers, inputs.classifiers, strict=True):
+            assert loaded.probs.tobytes() == written.probs.tobytes()
         assert again.label_array.tolist() == inputs.label_array.tolist()
         assert again.classifier_names == inputs.classifier_names
 

@@ -162,7 +162,7 @@ class TestEvaluate:
         weights = rng.uniform(0.05, 1.0, 3)
         report = evaluate(inputs, weights)
         naive_nll, naive_acc, naive_conf = _naive_report(
-            inputs.tensor, weights.tolist(), inputs.label_array, 5
+            np.stack([ps.probs for ps in inputs.classifiers]), weights.tolist(), inputs.label_array, 5
         )
         assert report.nll == pytest.approx(naive_nll, abs=1e-12)
         assert report.accuracy_percent == naive_acc

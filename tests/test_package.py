@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -23,6 +24,22 @@ def test_public_names():
     assert set(names) <= set(namespace)
     removed = {"Chromosome", "BreedingError", "GenerationStats", "draw_fitness_sample", "default_class_names"}
     assert not removed & set(dir(softvote))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "softvote").glob("*.py")), ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``.
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, f"{path.name} imports names it never uses (name: line): {unused}"
 
 
 def _python(args, cwd=None, **env):

@@ -98,7 +98,7 @@ class TestPopulationNll:
         genes[1] = [0.2, 0.0, 0.0]
         got = metrics._population_nll(genes, metrics._true_class_probs(inputs))
         assert got[0] == np.inf and got[2] == np.inf
-        assert got[1] == nll(inputs.tensor[0], inputs.label_array)
+        assert got[1] == nll(inputs.classifiers[0].probs, inputs.label_array)
 
     def test_no_samples_is_an_error(self):
         with pytest.raises(EmptyInputError):

@@ -25,6 +25,11 @@ def _spec(profiles, num_classes=10, num_samples=100, seed=0):
     return GeneratorSpec(num_classes, num_samples, tuple(profiles), seed=seed)
 
 
+def _stacked(inputs):
+    """Every classifier's probabilities as one (N, S, C) array."""
+    return np.stack([ps.probs for ps in inputs.classifiers])
+
+
 class TestGeneratorSpec:
     def test_profile_bounds(self):
         ClassifierProfile("edge", 1.0, 0.0)  # endpoints are legal
@@ -101,14 +106,14 @@ class TestGenerate:
         spec = _spec([ClassifierProfile("a", 0.8, 2.0), ClassifierProfile("b", 0.6, 1.0)])
         x = generate(spec)
         y = generate(spec)
-        assert x.tensor.tobytes() == y.tensor.tobytes()
+        assert _stacked(x).tobytes() == _stacked(y).tobytes()
         assert x.label_array.tolist() == y.label_array.tolist()
         assert x.sample_ids == y.sample_ids
 
     def test_different_seeds_differ(self):
         base = _spec([ClassifierProfile("a", 0.8, 2.0)], seed=0)
         other = _spec([ClassifierProfile("a", 0.8, 2.0)], seed=1)
-        assert generate(base).tensor.tobytes() != generate(other).tensor.tobytes()
+        assert _stacked(generate(base)).tobytes() != _stacked(generate(other)).tobytes()
 
     def test_perfect_sharp_classifier_has_near_zero_nll(self):
         spec = _spec([ClassifierProfile("perfect", 1.0, 40.0)], num_samples=200)
@@ -120,7 +125,7 @@ class TestGenerate:
     def test_flat_limit_is_uniform(self):
         spec = _spec([ClassifierProfile("flat", 0.1, 0.0)], num_samples=50)
         inputs = generate(spec)
-        np.testing.assert_allclose(inputs.tensor[0], 0.1, atol=1e-15)
+        np.testing.assert_allclose(inputs.classifiers[0].probs, 0.1, atol=1e-15)
         assert nll(fuse_majority(inputs), inputs.label_array) == pytest.approx(
             math.log(10), abs=1e-12
         )
@@ -130,7 +135,7 @@ class TestGenerate:
             [ClassifierProfile("m", 0.9, 3.0)], num_samples=10_000, seed=11
         )
         inputs = generate(spec)
-        observed = accuracy(inputs.tensor[0], inputs.label_array)
+        observed = accuracy(inputs.classifiers[0].probs, inputs.label_array)
         assert abs(observed - 90.0) <= 1.0
 
     def test_mode_mass_formula(self):
@@ -139,14 +144,14 @@ class TestGenerate:
         inputs = generate(spec)
         expected_mode = math.exp(sharpness) / (math.exp(sharpness) + c - 1)
         expected_background = 1.0 / (math.exp(sharpness) + c - 1)
-        row = inputs.tensor[0][0]
+        row = inputs.classifiers[0].probs[0]
         assert row.max() == pytest.approx(expected_mode, abs=1e-12)
         assert row.min() == pytest.approx(expected_background, abs=1e-12)
 
     def test_single_class_degenerates_to_certainty(self):
         spec = _spec([ClassifierProfile("m", 0.9, 1.0)], num_classes=1, num_samples=5)
         inputs = generate(spec)
-        np.testing.assert_array_equal(inputs.tensor[0], np.ones((5, 1)))
+        np.testing.assert_array_equal(inputs.classifiers[0].probs, np.ones((5, 1)))
 
 
 class TestSimplexGrid:
@@ -176,12 +181,12 @@ class TestBruteForceWeights:
         inputs = generate(spec)
         weights, value = brute_force_weights(inputs, 0.5)
         np.testing.assert_array_equal(weights, [1.0])
-        assert value == nll(inputs.tensor[0], inputs.label_array)
+        assert value == nll(inputs.classifiers[0].probs, inputs.label_array)
 
     def test_perfect_vs_uniform_optimum_at_corner(self, one_hot_pair):
         weights, value = brute_force_weights(one_hot_pair, 0.01)
         assert weights[0] >= 0.98
-        assert value <= nll(one_hot_pair.tensor[0], one_hot_pair.label_array) + 1e-12
+        assert value <= nll(one_hot_pair.classifiers[0].probs, one_hot_pair.label_array) + 1e-12
 
     def test_oracle_never_worse_than_majority(self):
         spec = _spec(
@@ -209,7 +214,7 @@ class TestBruteForceWeights:
 
     def test_scope_and_step_validation(self, one_hot_pair):
         big = build_ensemble(
-            [one_hot_pair.tensor[0]] * 4, one_hot_pair.label_array, names=list("abcd")
+            [one_hot_pair.classifiers[0].probs] * 4, one_hot_pair.label_array, names=list("abcd")
         )
         with pytest.raises(OracleScopeError):
             brute_force_weights(big, 0.01)
