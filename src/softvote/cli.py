@@ -21,7 +21,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import ga, ingest, metrics, synthgen
-from .core import EnsembleInputs, argmax_classes, fuse_majority, fuse_weighted
+from .core import EnsembleInputs, _subset_rows, argmax_classes, as_weights, fuse_majority, fuse_weighted
 from .errors import DimensionError, SoftvoteError, ValidationError
 
 # click after numpy: imported first, it raised search-weights' peak RSS by about 0.8 MB.
@@ -52,30 +52,23 @@ def _emit(chunks: Iterable[str], out: str) -> None:
         ingest._write_text(out, chunks)
 
 
-def _parse_subset(subset: str | None) -> list[str] | None:
-    if subset is None:
-        return None
-    names = [name.strip() for name in subset.split(",") if name.strip()]
-    if not names:
-        raise ValidationError("--subset must list at least one classifier name")
-    return names
-
-
 def _load_for_subset(
     manifest_path: str, subset: str | None, weights_path: str | None
 ) -> tuple[ingest.Manifest, EnsembleInputs, np.ndarray | None]:
-    """The manifest, its ensemble thinned to ``--subset``, and the weights for that ensemble.
+    """The manifest thinned to ``--subset``, its ensemble, and the weights for that ensemble.
 
-    ``--subset`` and the weights file are checked against the manifest
-    before any CSV is parsed. Without a weights file the weights are None.
+    The names, split at commas and stripped, become manifest rows, and the
+    weights file is checked against the full manifest and then taken by
+    those rows, so weights follow names. Only then are CSVs read: the kept
+    entries' and the labels. Without a weights file the weights are None.
     """
     manifest = ingest.read_manifest(manifest_path)
-    index = {entry.name: i for i, entry in enumerate(manifest.classifiers)}
-    names = _parse_subset(subset)
-    unknown = next((name for name in names or () if name not in index), None)
-    if unknown is not None:
-        raise ValidationError(f"unknown classifier '{unknown}'")  # EnsembleInputs.subset's message
-    weights = None
+    rows = weights = None
+    if subset is not None:
+        names = [name.strip() for name in subset.split(",") if name.strip()]
+        if not names:
+            raise ValidationError("--subset must list at least one classifier name")
+        rows = _subset_rows(names, [entry.name for entry in manifest.classifiers])
     if weights_path is not None:
         weights, _ = ingest.read_weights(weights_path)
         if weights.shape[0] != len(manifest.classifiers):
@@ -83,13 +76,12 @@ def _load_for_subset(
                 f"{weights_path}: has {weights.shape[0]} weights but {manifest_path} lists "
                 f"{len(manifest.classifiers)} classifiers"
             )
-    inputs = ingest.load_ensemble(manifest, Path(manifest_path).parent)
-    if names is not None:
-        inputs = inputs.subset(names)
-        if weights is not None:
-            # Re-bind weights by classifier name so a subset cannot misalign them.
-            weights = weights[[index[n] for n in names]]
-    return manifest, inputs, weights
+        if rows is not None:
+            where = f"subset {','.join(names)}: "
+            weights = ingest._built(weights_path, where, as_weights, weights=weights[rows], n_classifiers=len(rows))
+    if rows is not None:
+        manifest = replace(manifest, classifiers=[manifest.classifiers[i] for i in rows])
+    return manifest, ingest.load_ensemble(manifest, Path(manifest_path).parent), weights
 
 
 @click.group()

@@ -108,6 +108,21 @@ def _first_invalid_row(probs: np.ndarray) -> tuple[int, str] | None:
     return row, f"probabilities sum to {total!r} (want 1 within {ROW_SUM_TOLERANCE})"
 
 
+def _subset_rows(names: Iterable[str], available: Sequence[str]) -> list[int]:
+    """Each name's index in ``available``: at least one name, none twice, none unknown, checked in that order."""
+    wanted = list(names)
+    if not wanted:
+        raise ValidationError("subset needs at least one classifier name")
+    dup = _first_duplicate(wanted)
+    if dup is not None:
+        raise ValidationError(f"subset names classifier '{dup}' twice")
+    index = {name: i for i, name in enumerate(available)}
+    unknown = next((n for n in wanted if n not in index), None)
+    if unknown is not None:
+        raise ValidationError(f"unknown classifier '{unknown}'")
+    return [index[n] for n in wanted]
+
+
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
     """One classifier's per-sample class probabilities.
@@ -265,18 +280,9 @@ class EnsembleInputs:
         return _frozen(np.stack([ps.probs for ps in self.classifiers]))
 
     def subset(self, names: Iterable[str]) -> "EnsembleInputs":
-        """Ensemble restricted to the named classifiers, in the given order."""
-        wanted = list(names)
-        if not wanted:
-            raise ValidationError("subset needs at least one classifier name")
-        dup = _first_duplicate(wanted)
-        if dup is not None:
-            raise ValidationError(f"subset names classifier '{dup}' twice")
-        by_name = {ps.classifier_name: ps for ps in self.classifiers}
-        unknown = next((n for n in wanted if n not in by_name), None)
-        if unknown is not None:
-            raise ValidationError(f"unknown classifier '{unknown}'")
-        return EnsembleInputs(tuple(by_name[n] for n in wanted), self.labels)
+        """Ensemble restricted to the named classifiers, in the given order, by the rule of ``--subset``."""
+        rows = _subset_rows(names, self.classifier_names)
+        return EnsembleInputs(tuple(self.classifiers[i] for i in rows), self.labels)
 
     def restrict(self, sample_ids: Iterable[str]) -> "EnsembleInputs":
         """Ensemble restricted to the given sample ids, in the given order."""

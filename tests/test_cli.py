@@ -29,7 +29,7 @@ from softvote import (
     run_ga,
     write_ensemble,
 )
-from softvote import synthgen
+from softvote import ingest, synthgen
 from softvote.cli import cli
 
 GEN_SPEC = {
@@ -594,6 +594,15 @@ class TestSmallInputsBeforeData:
         assert result.stderr == f"error: {message.format(path=weights, manifest=broken)}\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "fuse"])
+    def test_subset_weights_sum_to_zero(self, broken, tmp_path, runner, command):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": [0.0, 0.0, 1.0], "full_data_nll": 0.1}), encoding="utf-8")
+        args = [command, "--manifest", str(broken), "--weights", str(weights), "--subset", "strong, mid"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {weights}: subset strong,mid: weights must not sum to zero\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "fuse"])
     def test_empty_subset(self, broken, runner, command):
         result = runner.invoke(cli, [command, "--manifest", str(broken), "--subset", " , "])
         assert result.exit_code == 1
@@ -615,6 +624,62 @@ class TestSmallInputsBeforeData:
         assert result.exit_code == 1
         assert result.stderr == "error: seed must be in [0, 2**64), got -1\n"
         assert not out.exists()
+
+
+class TestThinnedLoad:
+    """``--subset`` reads the kept classifiers' CSVs and the labels, and no other CSV."""
+
+    @staticmethod
+    def _break(bundle, fault):
+        mid = bundle.parent / "mid.csv"
+        if fault == "deleted":
+            mid.unlink()
+        else:
+            mid.write_text("id,x\na,1\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("command", ["evaluate", "fuse"])
+    @pytest.mark.parametrize("fault", ["deleted", "bad-header"])
+    def test_unselected_csv_is_not_read(self, bundle, tmp_path, runner, command, fault):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": [0.7, 0.2, 0.1], "full_data_nll": 0.5}), encoding="utf-8")
+        args = [command, "--manifest", str(bundle), "--weights", str(weights), "--subset", "weak,strong"]
+        if command == "evaluate":
+            args += ["--format", "json"]
+        intact = runner.invoke(cli, args)
+        assert intact.exit_code == 0, intact.output
+        self._break(bundle, fault)
+        thinned = runner.invoke(cli, args)
+        assert thinned.exit_code == 0, thinned.output
+        assert thinned.stdout_bytes == intact.stdout_bytes
+        # Without --subset every listed CSV is still read and checked.
+        full = runner.invoke(cli, [command, "--manifest", str(bundle)])
+        assert full.exit_code == (2 if fault == "deleted" else 1)
+        assert "mid.csv" in full.stderr
+
+    @pytest.mark.parametrize("command", ["evaluate", "fuse"])
+    @pytest.mark.parametrize("fault", ["deleted", "bad-header"])
+    def test_repeated_name_before_any_csv(self, bundle, runner, command, fault):
+        self._break(bundle, fault)
+        result = runner.invoke(cli, [command, "--manifest", str(bundle), "--subset", "strong,strong"])
+        assert result.exit_code == 1
+        assert result.stderr == "error: subset names classifier 'strong' twice\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "fuse"])
+    def test_loads_each_kept_classifier_once(self, bundle, runner, monkeypatch, command):
+        loaded = []
+        load_predictions = ingest.load_predictions
+
+        def counted(path, num_classes, name=None):
+            loaded.append(name)
+            return load_predictions(path, num_classes, name=name)
+
+        monkeypatch.setattr(ingest, "load_predictions", counted)
+        result = runner.invoke(cli, [command, "--manifest", str(bundle), "--subset", "weak,strong"])
+        assert result.exit_code == 0, result.output
+        assert loaded == ["weak", "strong"]
+        loaded.clear()
+        assert runner.invoke(cli, [command, "--manifest", str(bundle)]).exit_code == 0
+        assert loaded == ["strong", "mid", "weak"]
 
 
 class TestMalformedInputsExitOne:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +26,10 @@ from softvote import (
     load_predictions,
     nll,
     run_ga,
+    write_ensemble,
     write_predictions,
 )
+from softvote.cli import cli
 
 from conftest import build_ensemble, random_ensemble
 
@@ -132,15 +135,32 @@ class TestEnsembleInputs:
         assert inputs.labels.labels.tolist() == [0, 1]
         assert inputs.label_array is inputs.labels.labels
 
-    def test_subset_orders_and_validates(self):
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["nope"], "unknown classifier 'nope'"),
+            (["clf0", "clf0"], "subset names classifier 'clf0' twice"),
+            (["clf1", "clf1", "nope"], "subset names classifier 'clf1' twice"),
+            (["nope", "clf1", "clf1"], "subset names classifier 'clf1' twice"),
+            (["nope", "nope"], "subset names classifier 'nope' twice"),
+        ],
+        ids=["unknown", "repeated", "repeated-then-unknown", "unknown-then-repeated", "unknown-repeated"],
+    )
+    def test_subset_orders_and_validates(self, tmp_path, names, message):
+        # EnsembleInputs.subset and the CLI's --subset follow one rule, so
+        # they refuse the same names with the same message.
         inputs = random_ensemble(np.random.default_rng(0), 3, 5, 4)
         sub = inputs.subset(["clf2", "clf0"])
         assert sub.classifier_names == ("clf2", "clf0")
         np.testing.assert_array_equal(sub.classifiers[0].probs, inputs.classifiers[2].probs)
-        with pytest.raises(ValidationError, match="unknown classifier 'nope'"):
-            inputs.subset(["nope"])
-        with pytest.raises(ValidationError, match="twice"):
-            inputs.subset(["clf0", "clf0"])
+        with pytest.raises(ValidationError) as caught:
+            inputs.subset(names)
+        assert str(caught.value) == message
+        manifest = write_ensemble(inputs, tmp_path / "bundle")
+        for command in ("evaluate", "fuse"):
+            result = CliRunner().invoke(cli, [command, "--manifest", str(manifest), "--subset", ",".join(names)])
+            assert result.exit_code == 1
+            assert result.stderr == f"error: {message}\n"
 
     def test_restrict_reorders_samples(self):
         inputs = random_ensemble(np.random.default_rng(1), 2, 6, 3)
