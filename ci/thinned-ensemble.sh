@@ -1,0 +1,12 @@
+# A thinned ensemble through the console script.
+# evaluate --subset reads only the kept classifiers' CSVs and the
+# labels, so with the unselected net_d.csv moved away it must write
+# the same report bytes. The file is put back for the later steps.
+set -eo pipefail
+cd "$RUNNER_TEMP/readme"
+args=(evaluate --manifest bundle/manifest.json --weights weights.json --subset net_a,net_b --format json)
+softvote "${args[@]}" --out thinned.json
+mv bundle/net_d.csv net_d.csv.away
+softvote "${args[@]}" --out thinned-without-net_d.json
+cmp thinned.json thinned-without-net_d.json
+mv net_d.csv.away bundle/net_d.csv

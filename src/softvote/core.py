@@ -199,7 +199,8 @@ class LabeledSamples:
 class EnsembleInputs:
     """N aligned prediction sets plus ground truth for their samples.
 
-    All prediction sets must share the class count and the exact sample id
+    Classifier names must be distinct (``subset`` picks by name), and all
+    prediction sets must share the class count and the exact sample id
     sequence; every sample id must carry a label. Construction fails loudly
     on the first divergence instead of reordering or joining classifiers.
     ``labels`` holds the labels of the classifiers' samples in their row
@@ -215,6 +216,9 @@ class EnsembleInputs:
         object.__setattr__(self, "classifiers", classifiers)
         if not classifiers:
             raise ValidationError("ensemble needs at least one classifier")
+        dup = _first_duplicate(self.classifier_names)
+        if dup is not None:
+            raise ValidationError(f"duplicate classifier name '{dup}'")
         ref = classifiers[0]
         for ps in classifiers[1:]:
             if ps.num_classes != ref.num_classes:

@@ -22,8 +22,9 @@ non-finite value, a number or null for a name, a scalar for an array), is
 an error naming the file and the key path, such as ``confusion[2][1]``;
 nothing is coerced. The values then go to one constructor (``GAConfig``
 for the GA config, whose keys are optional) through ``_built``, which puts
-the file and key path before any range or limit error it raises. A JSON
-file that is not UTF-8 text, or that json cannot decode, is an error too.
+the file and key path before any range or limit error it raises, such as
+a classifier name listed twice. A JSON file that is not UTF-8 text, that
+json cannot decode, or that repeats a key in one object is an error too.
 
 Floats are written with Python's shortest round-trip repr, so
 write -> read -> write is byte-identical. Every CSV (predictions, labels
@@ -62,13 +63,14 @@ An entry holds one JSON line (the key, a CRC-32 of the payload and the
 byte count of its ids), then the payload: the sample ids as a JSON array
 and the values as raw little-endian float64 or int64. The key is a
 BLAKE2b digest of the file's exact bytes, the header's column name and
-count, the value dtype, the csv field limit and ``_CACHE_FORMAT``; no
-file time or size is part of it, so one labels entry serves every C. A
-load whose key matches an intact entry skips the parse and passes the
-cached ids and values to ``build``, so every row, id and label range is
-checked as on a first load. Any other entry is ignored and the file is
-parsed, and a failed write of an entry is ignored, so the cache changes
-no result and no error.
+count, the value dtype, the csv field limit, whether csv reads a NUL
+(3.11's does, 3.10's refuses it) and ``_CACHE_FORMAT``; no file time or
+size is part of it, so one labels entry serves every C. A load whose key
+matches an intact entry skips the parse and passes the cached ids and
+values to ``build``, so every row, id and label range is checked as on a
+first load. Any other entry is ignored and the file is parsed, and a
+failed write of an entry is ignored, so the cache changes no result and
+no error.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import EnsembleInputs, LabeledSamples, PredictionSet, _first_invalid_row, _string, _strings, as_weights
+from .core import EnsembleInputs, LabeledSamples, PredictionSet, as_weights
+from .core import _first_duplicate, _first_invalid_row, _string, _strings
 from .errors import (
     ConfigError,
     FormatError,
@@ -146,9 +149,9 @@ class Manifest:
             raise ValidationError(f"class_names lists {len(self.class_names)} names for {count} classes")
         if not self.classifiers:
             raise ValidationError("classifiers must list at least one classifier")
-        names = [entry.name for entry in self.classifiers]
-        if len(set(names)) != len(names):
-            raise ValidationError("classifier names must be unique")
+        dup = _first_duplicate([entry.name for entry in self.classifiers])
+        if dup is not None:
+            raise ValidationError(f"duplicate classifier name '{dup}'")
 
 
 @dataclass(frozen=True)
@@ -254,14 +257,18 @@ def _table_blocks(path: Path, column: str, width: int, text: str) -> Iterator[tu
 
 # Part of every cache key: a change to the entry layout or to what a parse
 # accepts or returns must change it, so that older entries stop matching.
-_CACHE_FORMAT = "softvote-cache 4"
+_CACHE_FORMAT = "softvote-cache 5"
 _CACHE_DIR = ".softvote-cache"
 _ENTRY_SCHEMA = {"key": str, "digest": int, "ids": int}
+try:  # Whether csv.reader reads a NUL (3.11's does; 3.10's refuses one): part of every key.
+    _CSV_READS_NUL = next(csv.reader(["\0"])) == ["\0"]
+except csv.Error:
+    _CSV_READS_NUL = False
 
 
 def _cache_key(column: str, width: int, dtype: type, data: bytes = b""):
     """A BLAKE2b of everything a parse depends on, then of ``data``; fed all of a CSV's bytes, it is their key."""
-    parse = [_CACHE_FORMAT, column, width, np.dtype(dtype).str, csv.field_size_limit()]
+    parse = [_CACHE_FORMAT, column, width, np.dtype(dtype).str, csv.field_size_limit(), _CSV_READS_NUL]
     digest = blake2b(json.dumps(parse).encode() + b"\0")
     digest.update(data)
     return digest
@@ -529,12 +536,20 @@ def write_labels(labels: LabeledSamples, path: str | Path) -> None:
 # --------------------------------------------------------------- JSON I/O
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a key it repeats is a ValueError, where json alone would keep the last value."""
+    key = _first_duplicate([k for k, _ in pairs])
+    if key is not None:
+        raise ValueError(f"repeated key '{key}'")
+    return dict(pairs)
+
+
 def _load_json(path: str | Path):
     # Line ends as universal-newlines mode reads them, which json's error
     # positions count.
     text = _decoded(path, _read_bytes(path)).replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
 
@@ -812,24 +827,20 @@ def write_ensemble(inputs: EnsembleInputs, out_dir: str | Path) -> Path:
         class_names = tuple(f"class_{i}" for i in range(inputs.num_classes))
     # Every file name is resolved and the manifest checked before any file
     # is written, so a clash leaves no partial bundle behind.
-    used = {"labels.csv"}
-    entries = []
-    for ps in inputs.classifiers:
-        filename = _safe_filename(ps.classifier_name) + ".csv"
-        if filename in used:
-            raise ValidationError(f"classifier file name clash: {filename}")
-        used.add(filename)
-        entries.append(ManifestEntry(name=ps.classifier_name, path=filename))
+    files = [_safe_filename(name) + ".csv" for name in inputs.classifier_names]
+    clash = _first_duplicate(["labels.csv", *files])
+    if clash is not None:
+        raise ValidationError(f"classifier file name clash: {clash}")
     manifest = Manifest(
         num_classes=inputs.num_classes,
         class_names=class_names,
-        classifiers=tuple(entries),
+        classifiers=tuple(map(ManifestEntry, inputs.classifier_names, files)),
         labels_path="labels.csv",
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for ps, entry in zip(inputs.classifiers, entries):
-        write_predictions(ps, out / entry.path)
+    for ps, filename in zip(inputs.classifiers, files):
+        write_predictions(ps, out / filename)
     # inputs.labels is in classifier row order, so the bundle stands alone.
     write_labels(inputs.labels, out / "labels.csv")
     manifest_path = out / "manifest.json"

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import metrics
-from .core import EnsembleInputs, LabeledSamples, PredictionSet
+from .core import EnsembleInputs, LabeledSamples, PredictionSet, _first_duplicate
 from .errors import ConfigError, OracleScopeError, ValidationError, _integer, _real, _shown
 from .rng import check_seed, make_rng
 
@@ -71,9 +71,9 @@ class GeneratorSpec:
         bad = next((p for p in self.profiles if not isinstance(p, ClassifierProfile)), None)
         if bad is not None:
             raise ConfigError(f"profiles must be ClassifierProfile values, got {_shown(bad)}")
-        names = [p.name for p in self.profiles]
-        if len(set(names)) != len(names):
-            raise ConfigError("classifiers must have unique names")
+        dup = _first_duplicate([p.name for p in self.profiles])
+        if dup is not None:
+            raise ConfigError(f"duplicate classifier name '{dup}'")
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 

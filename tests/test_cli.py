@@ -163,6 +163,49 @@ class TestSimulate:
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "where, expected",
+    [
+        ("EnsembleInputs", "ValidationError: duplicate classifier name 'strong'"),
+        ("read_manifest", "ValidationError: {manifest}: duplicate classifier name 'strong'"),
+        ("read_generator_spec", "ConfigError: {spec}: duplicate classifier name 'strong'"),
+        ("evaluate", "exit 1: error: {manifest}: duplicate classifier name 'strong'\n"),
+        ("simulate", "exit 1: error: {spec}: duplicate classifier name 'strong'\n"),
+    ],
+    ids=["EnsembleInputs", "read_manifest", "read_generator_spec", "evaluate", "simulate"],
+)
+def test_a_repeated_classifier_name_is_refused_and_named(bundle, tmp_path, runner, where, expected):
+    # One name is one network: --subset and EnsembleInputs.subset pick classifiers by name.
+    data = json.loads(bundle.read_text(encoding="utf-8"))
+    data["classifiers"][2]["name"] = "strong"  # was "weak"
+    manifest = bundle.with_name("dup.json")
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    data = copy.deepcopy(GEN_SPEC)
+    data["classifiers"][2]["name"] = "strong"
+    spec = tmp_path / "dup-gen.json"
+    spec.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    if where in ("evaluate", "simulate"):
+        args = ["--manifest", str(manifest)] if where == "evaluate" else ["--config", str(spec), "--out", str(out)]
+        result = runner.invoke(cli, [where, *args])
+        got = f"exit {result.exit_code}: {result.stderr}"
+    else:
+        inputs = load_manifest(bundle)
+        weak = inputs.classifiers[2]
+        call = {
+            "EnsembleInputs": lambda: EnsembleInputs(
+                (*inputs.classifiers[:2], PredictionSet("strong", weak.sample_ids, weak.probs)), inputs.labels
+            ),
+            "read_manifest": lambda: ingest.read_manifest(manifest),
+            "read_generator_spec": lambda: ingest.read_generator_spec(spec),
+        }[where]
+        with pytest.raises(softvote.ValidationError) as info:
+            call()
+        got = f"{type(info.value).__name__}: {info.value}"
+    assert got == expected.format(manifest=manifest, spec=spec)
+    assert not out.exists()
+
+
 class TestSearchWeights:
     def test_writes_weights_and_logs_generations(self, bundle, tmp_path, runner):
         out = tmp_path / "weights.json"
@@ -592,6 +635,13 @@ class TestSmallInputsBeforeData:
         result = runner.invoke(cli, [command, "--manifest", str(broken), "--weights", str(weights)])
         assert result.exit_code == 1
         assert result.stderr == f"error: {message.format(path=weights, manifest=broken)}\n"
+
+    def test_weights_file_that_repeats_a_key(self, broken, tmp_path, runner):
+        weights = tmp_path / "w.json"
+        text = '{"weights": [1.0, 0.0, 0.0], "weights": [0.0, 1.0, 1.0], "full_data_nll": 0.5}'
+        weights.write_text(text, encoding="utf-8")
+        result = runner.invoke(cli, ["evaluate", "--manifest", str(broken), "--weights", str(weights)])
+        assert (result.exit_code, result.stderr) == (1, f"error: {weights}: invalid JSON: repeated key 'weights'\n")
 
     @pytest.mark.parametrize("command", ["evaluate", "fuse"])
     def test_subset_weights_sum_to_zero(self, broken, tmp_path, runner, command):

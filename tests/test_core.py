@@ -153,6 +153,11 @@ class TestEnsembleInputs:
         sub = inputs.subset(["clf2", "clf0"])
         assert sub.classifier_names == ("clf2", "clf0")
         np.testing.assert_array_equal(sub.classifiers[0].probs, inputs.classifiers[2].probs)
+        # One name is one network, so subset can never pick the wrong "clf0".
+        x, x2 = inputs.classifiers[0], PredictionSet("clf0", inputs.sample_ids, inputs.classifiers[1].probs)
+        with pytest.raises(ValidationError) as caught:
+            EnsembleInputs((x, x2), inputs.labels).subset(["clf0"])
+        assert str(caught.value) == "duplicate classifier name 'clf0'"
         with pytest.raises(ValidationError) as caught:
             inputs.subset(names)
         assert str(caught.value) == message

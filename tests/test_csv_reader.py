@@ -473,6 +473,19 @@ class TestLoadCache:
         finally:
             csv.field_size_limit(old)
 
+    def test_an_entry_stored_under_one_nul_rule_is_not_served_under_the_other(
+        self, tmp_path, monkeypatch, convert_calls
+    ):
+        # csv reads a NUL from Python 3.11 on and refuses one before, so a
+        # cache shared by both must not serve 3.10 a file its own parse refuses
+        # (such as one holding "a\0b", which 3.11 parses and stores).
+        assert ingest._CSV_READS_NUL is (sys.version_info >= (3, 11))
+        p = _write(tmp_path, "sample_id,p0,p1\na,0.5,0.5\n")
+        for reads_nul in (True, True, False, False, True):
+            monkeypatch.setattr(ingest, "_CSV_READS_NUL", reads_nul)
+            assert load_predictions(p, 2).sample_ids == ("a",)
+        assert convert_calls == [1, 1, 1]
+
     def test_a_file_in_place_of_the_cache_directory_only_costs_speed(self, tmp_path, convert_calls):
         (tmp_path / ".softvote-cache").write_bytes(b"not a directory\n")
         p = _write(tmp_path, PREDICTIONS)

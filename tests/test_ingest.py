@@ -265,13 +265,14 @@ class TestManifestLoading:
             read_manifest(p)
 
     def test_manifest_rejects_duplicate_names(self):
-        with pytest.raises(ValidationError, match="unique"):
+        with pytest.raises(ValidationError) as info:
             Manifest(
                 num_classes=2,
                 class_names=("a", "b"),
                 classifiers=(ManifestEntry("x", "x.csv"), ManifestEntry("x", "y.csv")),
                 labels_path="l.csv",
             )
+        assert (type(info.value), str(info.value)) == (ValidationError, "duplicate classifier name 'x'")
 
     # Each of these could be written by write_manifest but not read back by read_manifest.
     @pytest.mark.parametrize(
@@ -595,6 +596,40 @@ class TestTypedJsonFields:
         with pytest.raises(FormatError, match=r"bad\.json: not UTF-8 text \(invalid start byte at byte 13\)"):
             reader(p)
 
+    @pytest.mark.parametrize(
+        "reader, text, key",
+        [
+            (
+                read_manifest,
+                '{"num_classes": 1, "class_names": ["a"], "labels": "l.csv",'
+                ' "classifiers": [{"name": "m", "path": "m.csv", "path": "n.csv"}]}',
+                "path",
+            ),
+            (read_weights, '{"weights": [1.0, 0.0], "weights": [0.0, 1.0], "full_data_nll": 0.5}', "weights"),
+            (
+                read_report,
+                '{"nll": 0.1, "accuracy_percent": 100.0, "confusion": [[1]], "per_class_accuracy": [100.0],'
+                ' "classifier_names": ["a"], "sample_count": 1, "nll": 0.2}',
+                "nll",
+            ),
+            (read_ga_config, '{"seed": 1, "seed": 1}', "seed"),
+            (
+                read_generator_spec,
+                '{"num_classes": 2, "num_samples": 4, "seed": 3, "num_samples": 5,'
+                ' "classifiers": [{"name": "a", "accuracy": 0.9, "sharpness": 2.0}]}',
+                "num_samples",
+            ),
+        ],
+        ids=["manifest", "weights", "report", "ga-config", "generator-spec"],
+    )
+    def test_a_repeated_key_is_format_error(self, tmp_path, reader, text, key):
+        # json alone keeps the last value; a file is read as written or refused.
+        p = tmp_path / "in.json"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            reader(p)
+        assert (type(info.value), str(info.value)) == (FormatError, f"{p}: invalid JSON: repeated key '{key}'")
+
     def test_manifest_string_num_classes(self, tmp_path):
         with pytest.raises(FormatError, match=r"manifest\.json: num_classes must be an integer, got 'x'"):
             read_manifest(self._manifest(tmp_path, "x"))
@@ -716,7 +751,7 @@ class TestTypedJsonFields:
                 read_generator_spec,
                 {"classifiers": [{"name": "a", "accuracy": 0.9, "sharpness": 2.0}] * 2},
                 ConfigError,
-                "classifiers must have unique names",
+                "duplicate classifier name 'a'",
             ),
             (read_generator_spec, {"accuracy": 1.5}, ConfigError, "classifiers[0].accuracy must be in (0, 1], got 1.5"),
             (read_generator_spec, {"sharpness": -1}, ConfigError, "classifiers[0].sharpness must be >= 0, got -1.0"),
