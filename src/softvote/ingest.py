@@ -65,12 +65,17 @@ and the values as raw little-endian float64 or int64. The key is a
 BLAKE2b digest of the file's exact bytes, the header's column name and
 count, the value dtype, the csv field limit, whether csv reads a NUL
 (3.11's does, 3.10's refuses it) and ``_CACHE_FORMAT``; no file time or
-size is part of it, so one labels entry serves every C. A load whose key
-matches an intact entry skips the parse and passes the cached ids and
-values to ``build``, so every row, id and label range is checked as on a
-first load. Any other entry is ignored and the file is parsed, and a
-failed write of an entry is ignored, so the cache changes no result and
-no error.
+size is part of it, so one labels entry serves every C. A load whose
+entry's head line holds a key hashes the CSV into a key as a stream
+(``_CHUNK`` bytes at a time into one buffer), and reads the payload only
+if the keys match. Such a hit keeps no copy of the CSV and passes the
+cached ids and values to ``build``, so every row, id and label range is
+checked as on a first load. Otherwise the file is read whole and those
+bytes are hashed, parsed and stored: a stale entry costs a second read.
+A failed write of an entry is ignored, so the cache changes no result
+and no error. Within one ``load_ensemble`` every file whose ids equal
+the first file's gets that file's tuple, and an entry's ids JSON that
+matches the first file's byte for byte is not decoded.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ import re
 import sys
 import zlib
 from _blake2 import blake2b  # hashlib re-exports it, but importing hashlib loads OpenSSL
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -260,6 +266,8 @@ def _table_blocks(path: Path, column: str, width: int, text: str) -> Iterator[tu
 _CACHE_FORMAT = "softvote-cache 5"
 _CACHE_DIR = ".softvote-cache"
 _ENTRY_SCHEMA = {"key": str, "digest": int, "ids": int}
+_CHUNK = 1 << 16  # bytes per read when a CSV is hashed to probe its entry
+_first_ids: ContextVar[list | None] = ContextVar("first_ids", default=None)  # in ``load_ensemble``: see ``_shared_ids``
 try:  # Whether csv.reader reads a NUL (3.11's does; 3.10's refuses one): part of every key.
     _CSV_READS_NUL = next(csv.reader(["\0"])) == ["\0"]
 except csv.Error:
@@ -283,20 +291,41 @@ def _payload_digest(head, tail=b"") -> int:
     return zlib.crc32(tail, zlib.crc32(head))
 
 
-def _cached(entry: Path, key: str, dtype: type, width: int) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """The ids and (rows, ``width``) values ``entry`` holds for ``key``; None if it is missing, stale or damaged."""
+def _shared_ids(raw: bytes | None, ids: list[str] | None = None) -> tuple | None:
+    """The ids of an entry's JSON ``raw`` (None if no array), else ``ids``. ``load_ensemble`` sets ``_first_ids`` to []
+    until its first file's [ids, raw] load; then equal ids, or a ``raw`` equal in bytes (not decoded), give those ids."""
+    first = _first_ids.get()
+    if first and raw is not None and raw == first[1]:
+        return first[0]
+    ids = json.loads(raw) if raw is not None else ids
+    if not isinstance(ids, list):  # a parse's ids are a list too
+        return None
+    ids = tuple(ids)
+    if first == []:
+        first += [ids, raw]
+    return first[0] if first and ids == first[0] else ids
+
+
+def _cached(entry: Path, path: Path, column: str, width: int, dtype: type) -> tuple[tuple, np.ndarray] | None:
+    """The ids and (rows, ``width``) values ``entry`` holds for ``path``'s bytes; None if it is missing, stale or damaged."""
     try:
-        head, _, payload = _read_bytes(entry).partition(b"\n")
-        meta = _typed(json.loads(head), _ENTRY_SCHEMA, entry, "cache entry")
-        if meta["key"] != key or _payload_digest(payload) != meta["digest"]:
+        with open(entry, "rb") as fh:
+            meta = _typed(json.loads(fh.readline()), _ENTRY_SCHEMA, entry, "cache entry")
+            digest, buffer = _cache_key(column, width, dtype), bytearray(_CHUNK)
+            with open(path, "rb", buffering=0) as csv_file:  # hashed in place: no copy of the CSV is kept
+                while n := csv_file.readinto(buffer):
+                    digest.update(memoryview(buffer)[:n])
+            if meta["key"] != digest.hexdigest():
+                return None
+            payload = fh.read()
+        if _payload_digest(payload) != meta["digest"]:
             return None
-        ids = json.loads(payload[: meta["ids"]])
-        values = np.frombuffer(payload, np.dtype(dtype).newbyteorder("<"), offset=meta["ids"])
-        values = values.reshape(-1, width)
+        values = np.frombuffer(payload, np.dtype(dtype).newbyteorder("<"), offset=meta["ids"]).reshape(-1, width)
+        # The ids' types are checked by ``build``, which every hit runs.
+        ids = _shared_ids(payload[: meta["ids"]])
     except (OSError, ValueError, RecursionError):
         return None
-    # The ids' types are checked by ``build``, which every hit runs.
-    return (tuple(ids), values) if isinstance(ids, list) else None
+    return None if ids is None else (ids, values)
 
 
 def _store(entry: Path, key: str, ids: tuple[str, ...], values: np.ndarray) -> None:
@@ -336,15 +365,15 @@ def _read_table(
     keyed by its bytes, ``column``, ``width`` and ``dtype``: all the parse
     reads. A hit skips the parse and still hands the ids and values to ``build``.
     """
-    data = _read_bytes(path)
-    key = _cache_key(column, width, dtype, data).hexdigest()
     entry = _entry_path(path) if path.is_file() else None
-    cached = _cached(entry, key, dtype, width) if entry is not None else None
+    cached = _cached(entry, path, column, width, dtype) if entry is not None else None
     if cached is not None:
         try:
             return build(*cached)
         except ValueError:  # such as a label past this C; the walk names its row
             pass
+    data = _read_bytes(path)  # read whole only here, so a stale entry's key is of the bytes parsed
+    key = _cache_key(column, width, dtype, data).hexdigest()
     text = _decoded(path, data)
     del data  # the text is kept for the walk; the bytes would be a second copy
     try:
@@ -359,7 +388,7 @@ def _read_table(
         values = np.concatenate(arrays)  # the header's block gives one array at least
         # The split lines went with the finished generator; drop the last
         # block's records and the block arrays before ``build`` copies.
-        ids, arrays, records = tuple(ids), [], []
+        ids, arrays, records = _shared_ids(None, ids), [], []
         result = build(ids, values)
     except (ValueError, OverflowError):  # ValidationError is a ValueError
         pass
@@ -633,11 +662,12 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
 def load_ensemble(manifest: Manifest, base_dir: str | Path = ".") -> EnsembleInputs:
     """Load every prediction file plus labels; classifier order = manifest order."""
     base = Path(base_dir)
-    classifiers = tuple(
-        load_predictions(base / entry.path, manifest.num_classes, name=entry.name)
-        for entry in manifest.classifiers
-    )
-    labels = load_labels(base / manifest.labels_path, manifest.num_classes)
+    token = _first_ids.set([])  # every file whose ids equal the first's shares its tuple
+    try:
+        classifiers = tuple(load_predictions(base / e.path, manifest.num_classes, name=e.name) for e in manifest.classifiers)
+        labels = load_labels(base / manifest.labels_path, manifest.num_classes)
+    finally:
+        _first_ids.reset(token)
     return EnsembleInputs(classifiers, labels)
 
 

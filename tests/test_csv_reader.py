@@ -9,6 +9,9 @@ Each of them loads twice, so the second load, served from the entry that
 the first one cached, must give the same result. ``TestLoadCache`` pins
 when that cache is used, written and refused, and that a failed load
 reads its file once, so a pipe fails as a regular file does.
+``TestStreamedKey`` pins that a load hashes its CSV as a stream to probe
+the entry, and ``TestSharedIds`` that the files of one ensemble share one
+sample-id tuple.
 """
 
 import csv
@@ -20,6 +23,7 @@ import shutil
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,13 +31,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from softvote import (
+    AlignmentError,
+    ClassifierProfile,
     FormatError,
+    GeneratorSpec,
     LabeledSamples,
     LabelRangeError,
     PredictionSet,
     ValidationError,
+    generate,
     load_labels,
+    load_manifest,
     load_predictions,
+    write_ensemble,
     write_labels,
     write_predictions,
 )
@@ -192,7 +202,8 @@ class TestPinnedSemantics:
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_cr_line_ends_cost_no_copy_of_the_text(self, tmp_path, newline):
         # A 1500 x 100 predictions file of about 3 MB: a CR-free copy of its
-        # whole text held beside it would add about 1.9 MB to the peak.
+        # whole text held beside it would add about 1.9 MB to the peak. Both
+        # loads parse: the entry ``write_predictions`` stores is removed.
         probs = np.random.default_rng(0).dirichlet(np.ones(100), size=1500)
         ps = PredictionSet("m", [f"s{i}" for i in range(1500)], probs)
         peaks = []
@@ -201,6 +212,7 @@ class TestPinnedSemantics:
             p.parent.mkdir()
             write_predictions(ps, p)
             p.write_bytes(p.read_bytes().replace(b"\n", end.encode()))
+            shutil.rmtree(p.parent / ".softvote-cache")
             tracemalloc.start()
             try:
                 loaded = load_predictions(p, 100)
@@ -382,14 +394,16 @@ LOADS = {
 }
 
 
-def _rewritten_entry(entry, drop_rows=0, ids=None):
+def _rewritten_entry(entry, drop_rows=0, ids=None, separators=None):
     """The bytes of ``entry`` less its last ``drop_rows`` value rows, with
-    ``ids`` in place of its ids when given and its payload digest made to
-    match."""
+    ``ids`` in place of its ids when given, its ids JSON written with
+    ``separators`` when given, and its payload digest made to match."""
     head, _, payload = entry.read_bytes().partition(b"\n")
     meta = json.loads(head)
     row = (len(payload) - meta["ids"]) // len(json.loads(payload[: meta["ids"]]))
-    ids_json = payload[: meta["ids"]] if ids is None else json.dumps(ids).encode()
+    ids_json = payload[: meta["ids"]]
+    if ids is not None or separators is not None:
+        ids_json = json.dumps(json.loads(ids_json) if ids is None else ids, separators=separators).encode()
     payload = ids_json + payload[meta["ids"] : len(payload) - drop_rows * row]
     meta["digest"], meta["ids"] = ingest._payload_digest(payload), len(ids_json)
     return json.dumps(meta).encode() + b"\n" + payload
@@ -532,6 +546,174 @@ class TestLoadCache:
         with pytest.raises(ValidationError, match=": row 4: "):
             load(p)
         assert reads.count(p) == 1
+
+
+def _entry_key(p):
+    return json.loads(_entry(p).read_bytes().partition(b"\n")[0])["key"]
+
+
+@pytest.fixture
+def csv_opens(monkeypatch):
+    """A list that gets the path of every file the loader opens."""
+    opens = []
+
+    def counting(path, *args, **kwargs):
+        opens.append(Path(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "open", counting, raising=False)
+    return opens
+
+
+class TestStreamedKey:
+    """A load reads its entry's head first and hashes the CSV into the key
+    as a stream, so a hit holds no copy of the CSV's bytes."""
+
+    def test_a_hit_keeps_no_copy_of_the_csv(self, tmp_path, convert_calls):
+        rows = "".join(f"s{i},0.5,0.5\n" for i in range(100))
+        p = _write(tmp_path, "sample_id,p0,p1\n" + rows + "\n" * (2 << 20))
+        load_predictions(p, 2)
+        convert_calls.clear()
+        tracemalloc.start()
+        try:
+            ps = load_predictions(p, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert convert_calls == []  # a hit
+        assert ps.sample_ids == tuple(f"s{i}" for i in range(100))
+        assert peak < 0.5 * 2**20, peak
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["chunk-default", "chunk7"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_the_streamed_key_is_the_key_of_the_whole_file(self, tmp_path, monkeypatch, csv_opens, chunk, extra):
+        if chunk is not None:
+            monkeypatch.setattr(ingest, "_CHUNK", chunk)
+        size = ingest._CHUNK * (1 if chunk is None else 9) + extra
+        text = PREDICTIONS + "\n" * (size - len(PREDICTIONS))
+        p = _write(tmp_path, text)
+        assert p.stat().st_size == size
+        load_predictions(p, 2)
+        assert _entry_key(p) == ingest._cache_key("p{}", 2, np.float64, text.encode()).hexdigest()
+        csv_opens.clear()
+        monkeypatch.setattr(ingest, "_read_bytes", None)  # a hit must not read the file whole
+        assert load_predictions(p, 2).sample_ids == ("a1", "b2")
+        assert csv_opens.count(p) == 1
+
+    @pytest.mark.parametrize("state, opens", [("none", 1), ("hit", 1), ("stale", 2)])
+    def test_the_csv_is_read_twice_only_past_a_stale_entry(self, tmp_path, csv_opens, convert_calls, state, opens):
+        p = _write(tmp_path, PREDICTIONS)
+        if state != "none":
+            load_predictions(p, 2)
+        if state == "stale":
+            p.write_bytes(PREDICTIONS.replace("\n", "\r\n").encode("utf-8"))
+        csv_opens.clear()
+        convert_calls.clear()
+        assert load_predictions(p, 2).probs.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert csv_opens.count(p) == opens
+        assert convert_calls == ([] if state == "hit" else [2])
+
+    def test_a_stale_load_stores_the_key_of_the_bytes_it_parsed(self, tmp_path, monkeypatch, convert_calls):
+        p = _write(tmp_path, PREDICTIONS)
+        load_predictions(p, 2)
+        p.write_bytes(PREDICTIONS.replace("\n", "\r\n").encode("utf-8"))
+        changed = PREDICTIONS.replace("a1,", "a7,").encode("utf-8")
+        read_bytes, pending = ingest._read_bytes, [changed]
+
+        def changing(path):
+            # The file changes after the probe hashed it and before it is read whole.
+            if path == p and pending:
+                p.write_bytes(pending.pop())
+            return read_bytes(path)
+
+        monkeypatch.setattr(ingest, "_read_bytes", changing)
+        assert load_predictions(p, 2).sample_ids == ("a7", "b2")
+        assert _entry_key(p) == ingest._cache_key("p{}", 2, np.float64, changed).hexdigest()
+        convert_calls.clear()
+        assert load_predictions(p, 2).sample_ids == ("a7", "b2")
+        assert convert_calls == []
+
+
+def _bundle(tmp_path, n=3):
+    """A written ``n``-classifier bundle, with an entry beside each CSV; its manifest's path."""
+    spec = GeneratorSpec(3, 40, tuple(ClassifierProfile(f"m{i}", 0.8, 2.0) for i in range(n)), seed=0)
+    return write_ensemble(generate(spec), tmp_path / "bundle")
+
+
+def _uncached(manifest):
+    shutil.rmtree(manifest.parent / ".softvote-cache", ignore_errors=True)
+
+
+class TestSharedIds:
+    """Within one ensemble load, every file whose ids equal the first
+    file's holds that file's tuple."""
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_every_file_holds_the_first_files_ids(self, tmp_path, monkeypatch, warm):
+        manifest = _bundle(tmp_path)
+        if not warm:
+            _uncached(manifest)
+        decoded = []
+        loads = json.loads
+
+        def counting(data, *args, **kwargs):
+            if isinstance(data, bytes) and data.startswith(b"["):
+                decoded.append(data)
+            return loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        inputs = load_manifest(manifest)
+        first = inputs.classifiers[0].sample_ids
+        assert len(first) == 40
+        assert all(ps.sample_ids is first for ps in inputs.classifiers)
+        assert inputs.labels.sample_ids is first
+        # A warm load decodes the first entry's ids JSON only: the others are the same bytes.
+        assert len(decoded) == (1 if warm else 0)
+        assert ingest._first_ids.get() is None
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_labels_in_another_order_are_still_aligned(self, tmp_path, warm):
+        manifest = _bundle(tmp_path)
+        expected = load_manifest(manifest).label_array.tolist()
+        labels = manifest.parent / "labels.csv"
+        header, *rows = labels.read_text(encoding="utf-8").splitlines(keepends=True)
+        labels.write_text(header + "".join(reversed(rows)), encoding="utf-8")
+        load_labels(labels, 3)
+        if not warm:
+            _uncached(manifest)
+        inputs = load_manifest(manifest)
+        assert inputs.label_array.tolist() == expected
+        assert inputs.labels.sample_ids is inputs.classifiers[0].sample_ids
+        assert load_labels(labels, 3).sample_ids == inputs.sample_ids[::-1]
+
+    def test_diverging_ids_raise_the_same_alignment_error(self, tmp_path):
+        manifest = _bundle(tmp_path)
+        ids = load_manifest(manifest).sample_ids
+        victim = manifest.parent / "m1.csv"
+        victim.write_text(victim.read_text(encoding="utf-8").replace(f"\n{ids[5]},", "\nzz,"), encoding="utf-8")
+        messages = []
+        for uncached in (True, False, False):  # a parse, which stores m1's entry, then two hits
+            if uncached:
+                _uncached(manifest)
+            with pytest.raises(AlignmentError) as info:
+                load_manifest(manifest)
+            messages.append(str(info.value))
+        assert messages == [f"classifier 'm1' diverges from 'm0' at row 5: 'zz' vs '{ids[5]}'"] * 3
+
+    def test_ids_json_equal_in_value_but_not_in_bytes_is_served_and_shared(self, tmp_path, monkeypatch):
+        manifest = _bundle(tmp_path)
+        entry = _entry(manifest.parent / "m1.csv")
+        compact = _rewritten_entry(entry, separators=(",", ":"))
+        assert compact != entry.read_bytes()
+        entry.write_bytes(compact)
+        reads = []
+        read_bytes = ingest._read_bytes
+        monkeypatch.setattr(ingest, "_read_bytes", lambda path: reads.append(path) or read_bytes(path))
+        inputs = load_manifest(manifest)
+        assert reads == [manifest]  # every CSV was a hit
+        assert all(ps.sample_ids is inputs.sample_ids for ps in inputs.classifiers)
+        assert inputs.labels.sample_ids is inputs.sample_ids
+        assert entry.read_bytes() == compact
 
 
 def _fed_fifo(path, data):
