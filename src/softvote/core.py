@@ -39,6 +39,10 @@ from .errors import (
 # Rows that miss it are rejected outright, never silently renormalized.
 ROW_SUM_TOLERANCE = 1e-6
 
+# A usable weight vector sums to more than this: far below it fusion's products
+# underflow. ``as_weights`` refuses the rest, and the search scores them +inf.
+_WEIGHT_SUM_FLOOR = 1e-12
+
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
@@ -305,7 +309,7 @@ class EnsembleInputs:
 
 
 def as_weights(weights: Sequence[float] | np.ndarray, n_classifiers: int) -> np.ndarray:
-    """Validate one weight per classifier: finite, non-negative, positive finite sum."""
+    """Validate one weight per classifier: finite, non-negative, a finite sum above :data:`_WEIGHT_SUM_FLOOR`."""
     w = np.array(weights, dtype=np.float64)
     if w.ndim != 1:
         raise DimensionError(f"weights must be 1-D, got shape {w.shape}")
@@ -319,6 +323,8 @@ def as_weights(weights: Sequence[float] | np.ndarray, n_classifiers: int) -> np.
         total = w.sum()
     if total <= 0.0:
         raise DegenerateWeightsError("weights must not sum to zero")
+    if total <= _WEIGHT_SUM_FLOOR:
+        raise DegenerateWeightsError(f"weights must sum to more than {_WEIGHT_SUM_FLOOR!r}, got {float(total)!r}")
     if not np.isfinite(total):
         raise DegenerateWeightsError("weights must have a finite sum")
     return _frozen(w)
@@ -336,7 +342,8 @@ def fuse_weighted(inputs: EnsembleInputs, weights: Sequence[float] | np.ndarray)
     """Normalized weighted sum of the classifiers' distributions, shape (S, C).
 
     Scale-invariant in the weights; a constant weight vector reproduces
-    :func:`fuse_majority`. Output rows sum to 1 within 1e-9.
+    :func:`fuse_majority`. Refuses what :func:`as_weights` refuses, so
+    output rows sum to 1 within 1e-9.
     """
     w = as_weights(weights, inputs.n_classifiers)
     return _weighted_fusion(w, [ps.probs for ps in inputs.classifiers], float(w.sum()))

@@ -378,14 +378,16 @@ def _read_table(
     del data  # the text is kept for the walk; the bytes would be a second copy
     try:
         ids: list[str] = []
-        arrays: list[np.ndarray] = []
+        arrays = [np.empty((0, width), dtype)]  # so a header-only file gives zero rows
         for _, records in _table_blocks(path, column, width, text):
             records = [record for record in records if record]
+            if not records:
+                continue
             if set(map(len, records)) - {width + 1}:
                 raise ValueError("wrong cell count")
             arrays.append(_convert(records, dtype, width))
             ids.extend([record[0] for record in records])
-        values = np.concatenate(arrays)  # the header's block gives one array at least
+        values = np.concatenate(arrays)
         # The split lines went with the finished generator; drop the last
         # block's records and the block arrays before ``build`` copies.
         ids, arrays, records = _shared_ids(None, ids), [], []

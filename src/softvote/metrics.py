@@ -10,7 +10,8 @@ The weight search scores a whole population at once with
 and scores each distinct gene row once (a converged population is mostly
 clones). It fuses with ``core._weighted_fusion`` and scores with
 :func:`_mean_nll`, as :func:`fuse_weighted` and :func:`nll` do, so each
-of its scores is the NLL of that row's weighted fusion bit for bit.
+score is the NLL of its row's weighted fusion bit for bit, or +inf where
+fusion refuses the row.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .core import (
     EnsembleInputs,
     LabeledSamples,
+    _WEIGHT_SUM_FLOOR,
     _frozen,
     _fused_matrix,
     _strings,
@@ -43,10 +45,6 @@ from .errors import (
 )
 
 NLL_EPSILON = 1e-15
-
-# Gene sums at or below this are treated as a degenerate (unusable) weight
-# vector and scored +inf so selection can never keep them.
-DEGENERATE_GENE_SUM = 1e-12
 
 # Cells in one scratch buffer of population scoring (512 KiB of float64).
 _SCORE_BLOCK_CELLS = 1 << 16
@@ -96,12 +94,13 @@ def _true_class_probs(inputs: EnsembleInputs) -> np.ndarray:
 def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
     """Mean NLL of every gene row's weighted fusion, shape (P,).
 
-    ``genes`` is (P, N) and ``true_probs`` is (N, S), holding each
-    classifier's probability of each sample's true class. Row p equals
+    ``genes`` is (P, N), finite and non-negative, and ``true_probs`` is
+    (N, S), holding each classifier's probability of each sample's true
+    class. Row p scores +inf exactly when ``as_weights(genes[p])`` refuses
+    it (a sum at or below ``core._WEIGHT_SUM_FLOOR``), else it equals
     ``nll(fuse_weighted(inputs, genes[p]), labels)`` bit for bit: both
     fuse with ``core._weighted_fusion``, dividing by the row's gene sum,
-    and score with :func:`_mean_nll`. Rows whose gene sum is at most
-    :data:`DEGENERATE_GENE_SUM` score +inf.
+    and score with :func:`_mean_nll`.
 
     Each distinct row is scored once and its score copied to the rows
     that repeat it; rows count as the same when their values are equal
@@ -120,7 +119,7 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
     distinct = keys.view(np.float64).reshape(-1, rows.shape[1])
     n_rows = distinct.shape[0]
     totals = distinct.sum(axis=1)
-    degenerate = totals <= DEGENERATE_GENE_SUM
+    degenerate = totals <= _WEIGHT_SUM_FLOOR
     # A stand-in divisor keeps degenerate rows finite until they are overwritten.
     totals[degenerate] = 1.0
     block = max(1, _SCORE_BLOCK_CELLS // n_samples)

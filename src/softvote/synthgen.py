@@ -25,11 +25,10 @@ import numpy as np
 from . import metrics
 from .core import EnsembleInputs, LabeledSamples, PredictionSet, _first_duplicate
 from .errors import ConfigError, OracleScopeError, ValidationError, _integer, _real, _shown
+from .ga import MAX_POPULATION_SIZE
 from .rng import check_seed, make_rng
 
 ORACLE_MAX_CLASSIFIERS = 3
-# The oracle scores its grid as one population, of at most ga.MAX_POPULATION_SIZE rows.
-_ORACLE_MAX_POINTS = 100_000
 
 # Upper limits on a spec's counts. ``generate`` holds a string id per sample
 # and one (num_samples, num_classes) float64 array per profile, so a larger
@@ -129,11 +128,11 @@ def brute_force_weights(
             f"exhaustive search supports at most {ORACLE_MAX_CLASSIFIERS} classifiers, got {n}"
         )
     _real(grid_step, "grid_step", ValidationError, 0, 0.5, "(]", one_message=True)
-    # 1 / grid_step is inf for a subnormal step, which round() refuses.
-    divisions = round(min(1.0 / grid_step, _ORACLE_MAX_POINTS))
-    if math.comb(divisions + n - 1, n - 1) > _ORACLE_MAX_POINTS:  # M + 1 points at n = 2
+    # The grid is scored as one population. 1 / grid_step is inf for a subnormal step, which round() refuses.
+    divisions = round(min(1.0 / grid_step, MAX_POPULATION_SIZE))
+    if math.comb(divisions + n - 1, n - 1) > MAX_POPULATION_SIZE:  # M + 1 points at n = 2
         raise OracleScopeError(
-            f"grid_step {_shown(grid_step)} gives more than {_ORACLE_MAX_POINTS} grid points for {n} classifiers"
+            f"grid_step {_shown(grid_step)} gives more than {MAX_POPULATION_SIZE} grid points for {n} classifiers"
         )
     grid = np.array(list(_simplex_grid(n, divisions)), dtype=np.float64) / divisions
     values = metrics._population_nll(grid, metrics._true_class_probs(inputs))

@@ -625,9 +625,13 @@ class TestSmallInputsBeforeData:
             ),
             ({"weights": [-1.0, 2.0, 1.0], "full_data_nll": 0.1}, "{path}: weights must be non-negative"),
             ({"weights": [0.0, 0.0, 0.0], "full_data_nll": 0.1}, "{path}: weights must not sum to zero"),
+            (
+                {"weights": [1e-13, 0.0, 0.0], "full_data_nll": 0.1},
+                "{path}: weights must sum to more than 1e-12, got 1e-13",
+            ),
             ({"weights": [1e308, 1e308, 1.0], "full_data_nll": 0.1}, "{path}: weights must have a finite sum"),
         ],
-        ids=["type", "count", "negative", "zero-sum", "infinite-sum"],
+        ids=["type", "count", "negative", "zero-sum", "tiny-sum", "infinite-sum"],
     )
     def test_weights_file(self, broken, tmp_path, runner, command, data, message):
         weights = tmp_path / "x.json"

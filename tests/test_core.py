@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -225,6 +227,23 @@ class TestFusion:
         inputs = random_ensemble(np.random.default_rng(7), 2, 3, 2)
         with pytest.raises(DegenerateWeightsError):
             fuse_weighted(inputs, [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([0.0, -0.0], "weights must not sum to zero"),
+            ([5e-324, 0.0], "weights must sum to more than 1e-12, got 5e-324"),
+            ([1e-320, 1e-320], "weights must sum to more than 1e-12, got 2e-320"),
+            ([1e-13, 0.0], "weights must sum to more than 1e-12, got 1e-13"),
+            ([5e-13, 5e-13], "weights must sum to more than 1e-12, got 1e-12"),
+        ],
+    )
+    def test_weighted_rejects_a_sum_at_or_below_the_floor(self, weights, message):
+        inputs = random_ensemble(np.random.default_rng(7), 2, 3, 2)
+        with pytest.raises(DegenerateWeightsError, match=f"^{re.escape(message)}$"):
+            fuse_weighted(inputs, weights)
+        # Just above the floor, and a power of two, so the fusion is exact.
+        np.testing.assert_array_equal(fuse_weighted(inputs, [2.0**-39, 0.0]), inputs.classifiers[0].probs)
 
     def test_weighted_rejects_length_mismatch(self):
         inputs = random_ensemble(np.random.default_rng(8), 2, 3, 2)

@@ -584,6 +584,14 @@ class TestStreamedKey:
         assert ps.sample_ids == tuple(f"s{i}" for i in range(100))
         assert peak < 0.5 * 2**20, peak
 
+    def test_blank_only_blocks_are_not_converted(self, tmp_path, convert_calls):
+        rows = "".join(f"s{i},0.5,0.5\n" for i in range(100))
+        plain = load_predictions(_write(tmp_path, "sample_id,p0,p1\n" + rows, "plain.csv"), 2)
+        convert_calls.clear()
+        padded = load_predictions(_write(tmp_path, "sample_id,p0,p1\n" + rows + "\n" * (2 << 20)), 2)
+        assert convert_calls == [100]
+        assert (padded.sample_ids, padded.probs.tobytes()) == (plain.sample_ids, plain.probs.tobytes())
+
     @pytest.mark.parametrize("chunk", [None, 7], ids=["chunk-default", "chunk7"])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_the_streamed_key_is_the_key_of_the_whole_file(self, tmp_path, monkeypatch, csv_opens, chunk, extra):

@@ -170,6 +170,7 @@ class TestRoundTrips:
                 "weights[0] must be a finite number, got a list holding an integer too long to print",
             ),
             ([-1.0], 0.5, DegenerateWeightsError, "weights must be non-negative"),
+            ([5e-324, 0.0], 0.5, DegenerateWeightsError, "weights must sum to more than 1e-12, got 5e-324"),
             ([], 0.5, FormatError, "weights must be a non-empty array"),
         ]:
             bad = tmp_path / "bad.json"
@@ -767,6 +768,12 @@ class TestTypedJsonFields:
             (read_report, {"confusion": []}, DimensionError, "confusion matrix must be square, got shape (0,)"),
             (read_weights, {"weights": [-1.0, 2.0]}, DegenerateWeightsError, "weights must be non-negative"),
             (read_weights, {"weights": [0.0, 0.0]}, DegenerateWeightsError, "weights must not sum to zero"),
+            (
+                read_weights,
+                {"weights": [1e-13, 0.0]},
+                DegenerateWeightsError,
+                "weights must sum to more than 1e-12, got 1e-13",
+            ),
             (read_weights, {"weights": [1e308, 1e308]}, DegenerateWeightsError, "weights must have a finite sum"),
             (read_weights, {"full_data_nll": -1.0}, FormatError, "full_data_nll must be non-negative, got -1.0"),
             (

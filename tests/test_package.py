@@ -12,6 +12,7 @@ import softvote
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "softvote").glob("*.py"))
 
 
 def test_public_names():
@@ -26,7 +27,7 @@ def test_public_names():
     assert not removed & set(dir(softvote))
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "softvote").glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
@@ -40,6 +41,57 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses (name: line): {unused}"
+
+
+def _is_command(node):
+    """Whether ``node`` is decorated ``@cli.command(...)``, so that click, not softvote's code, calls it."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def _defined(node):
+    """The module-level names that top-level statement ``node`` binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    if isinstance(node, (ast.If, ast.Try)):
+        return [name for n in ast.walk(node) if isinstance(n, (ast.Assign, ast.AnnAssign)) for name in _defined(n)]
+    return []
+
+
+def _referred(node, modules):
+    """The names ``node`` uses: names read, names imported, and ``module.name`` for a softvote module."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id
+        elif isinstance(n, ast.ImportFrom):
+            yield from (alias.name for alias in n.names)
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules:
+            yield n.attr
+
+
+def test_every_module_level_name_is_used():
+    # A name is used when a statement other than the one that defines it
+    # refers to it, or when ``_MODULE_OF`` makes it public. Click calls the
+    # command functions, so they are exempt.
+    modules = {path.stem for path in SOURCES}
+    statements = [(path.stem, node) for path in SOURCES for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    users = {}
+    for _, node in statements:
+        for name in set(_referred(node, modules)):
+            users.setdefault(name, set()).add(id(node))
+    orphans = []
+    for module, node in statements:
+        if module == "cli" and _is_command(node):
+            continue
+        for name in _defined(node):
+            if not name.startswith("__") and name not in softvote._MODULE_OF and not users.get(name, set()) - {id(node)}:
+                orphans.append(f"{module}.{name}")
+    assert not orphans, f"module-level names that nothing else in src/ uses: {orphans}"
 
 
 def _python(args, cwd=None, **env):

@@ -2,7 +2,8 @@
 
 Both sides share one fusion function, ``core._weighted_fusion``, and one
 NLL step, ``metrics._mean_nll``; ``TestOneKernel`` pins that every entry
-point goes through them.
+point goes through them. A row that fusion refuses scores +inf, and
+``TestOneRule`` pins that the two sides refuse the same rows.
 """
 
 import tracemalloc
@@ -10,12 +11,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softvote import (
+    DegenerateWeightsError,
     EmptyInputError,
     GAConfig,
+    as_weights,
     brute_force_weights,
     core,
     evaluate,
@@ -31,13 +34,15 @@ from conftest import random_ensemble
 
 
 def _expected(inputs, genes, idx):
-    """Row by row, the way the search scored a chromosome before batching."""
+    """Row by row: +inf where fusion refuses the row, else the NLL of its fusion."""
     out = []
     for row in genes:
-        if row.sum() <= metrics.DEGENERATE_GENE_SUM:
+        try:
+            fused = fuse_weighted(inputs, row)
+        except DegenerateWeightsError:
             out.append(np.inf)
         else:
-            out.append(nll(fuse_weighted(inputs, row)[idx], inputs.label_array[idx]))
+            out.append(nll(fused[idx], inputs.label_array[idx]))
     return out
 
 
@@ -121,6 +126,45 @@ class TestPopulationNll:
         idx = np.sort(rng.choice(s, size=int(rng.integers(1, s + 1)), replace=False))
         with mock.patch.object(metrics, "_SCORE_BLOCK_CELLS", block_cells):
             _assert_exact(inputs, genes, idx)
+
+
+FLOOR = core._WEIGHT_SUM_FLOOR
+# Genes around every edge of the rule: zeros of both signs, subnormals, and
+# values whose sums land on either side of the floor.
+EDGE_GENES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e-13, FLOOR / 2, FLOOR, 1.5 * FLOOR, 0.5]),
+    st.floats(0.0, 3 * FLOOR),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestOneRule:
+    """The search scores +inf exactly the weight vectors that fusion refuses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(EDGE_GENES, min_size=n, max_size=n), min_size=1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=[[1e-13, 0.0]], seed=1)
+    @example(rows=[[5e-324, 0.0]], seed=1)
+    @example(rows=[[1e-320, 1e-320]], seed=1)
+    @example(rows=[[1.5 * FLOOR, 0.0], [FLOOR, -0.0], [-0.0, -0.0]], seed=1)
+    def test_inf_exactly_where_as_weights_refuses(self, rows, seed):
+        genes = np.array(rows, dtype=np.float64)
+        n = genes.shape[1]
+        inputs = random_ensemble(np.random.default_rng(seed), n, 20, 3)
+        got = metrics._population_nll(genes, metrics._true_class_probs(inputs))
+        for p, row in enumerate(genes):
+            try:
+                as_weights(row, n)
+            except DegenerateWeightsError:
+                assert got[p] == np.inf, f"row {p} {row.tolist()}: fusion refuses it, the search scored {got[p]!r}"
+                continue
+            fused = fuse_weighted(inputs, row)
+            want = nll(fused, inputs.label_array)
+            assert got[p] == want, f"row {p} {row.tolist()}: {got[p]!r} != {want!r}"
+            np.testing.assert_allclose(fused.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
 
 
 def _repeated(rng, p, n, distinct):
