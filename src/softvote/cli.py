@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ga, ingest, metrics, synthgen
 from .core import EnsembleInputs, _subset_rows, argmax_classes, as_weights, fuse_majority, fuse_weighted
-from .errors import DimensionError, SoftvoteError, ValidationError
+from .errors import DimensionError, SoftvoteError
 
 # click after numpy: imported first, it raised search-weights' peak RSS by about 0.8 MB.
 import click
@@ -66,8 +66,6 @@ def _load_for_subset(
     rows = weights = None
     if subset is not None:
         names = [name.strip() for name in subset.split(",") if name.strip()]
-        if not names:
-            raise ValidationError("--subset must list at least one classifier name")
         rows = _subset_rows(names, [entry.name for entry in manifest.classifiers])
     if weights_path is not None:
         weights, _ = ingest.read_weights(weights_path)

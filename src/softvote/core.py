@@ -236,7 +236,7 @@ class EnsembleInputs:
                     if ps.sample_ids[i] != ref.sample_ids[i]:
                         raise AlignmentError(
                             f"classifier '{ps.classifier_name}' diverges from "
-                            f"'{ref.classifier_name}' at row {i}: "
+                            f"'{ref.classifier_name}' at index {i}: "
                             f"'{ps.sample_ids[i]}' vs '{ref.sample_ids[i]}'"
                         )
                 raise AlignmentError(

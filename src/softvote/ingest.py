@@ -57,8 +57,8 @@ for labels a value outside [0, C).
 Each load of a regular CSV file is cached in ``.softvote-cache/`` beside
 it, one entry per file, written only after ``build`` accepted the file.
 ``write_predictions`` and ``write_labels`` store the same entry for each
-regular file they write, unless its bytes hold a double quote or a NUL
-(which the reader hands to csv.reader) or an id past the csv field limit.
+regular file they write that a load would accept: no id past the csv field
+limit, and no NUL in an id where csv refuses one.
 An entry holds one JSON line (the key, a CRC-32 of the payload and the
 byte count of its ids), then the payload: the sample ids as a JSON array
 and the values as raw little-endian float64 or int64. The key is a
@@ -100,6 +100,7 @@ import numpy as np
 from .core import EnsembleInputs, LabeledSamples, PredictionSet, as_weights
 from .core import _first_duplicate, _first_invalid_row, _string, _strings
 from .errors import (
+    AlignmentError,
     ConfigError,
     FormatError,
     LabelRangeError,
@@ -490,24 +491,23 @@ def _write_table(path: str | Path, column: str, sample_ids: tuple[str, ...], val
 
     The bytes are hashed into the key as they are written. Shortest-repr
     floats parse back bit for bit, and a hit still runs the loader's checks.
-    A target that is no regular file after the write, bytes csv.reader would read (a quote,
-    or a NUL, which Python 3.10 refuses) and an id past the field limit get no entry.
+    A regular file gets the entry exactly when a load would accept it: every id is within
+    the csv field limit and, where csv refuses a NUL (Python 3.10), none holds one.
     """
     path = Path(path)
     width = values.shape[1]
     digest = _cache_key(column, width, values.dtype)
-    plain = max(map(len, sample_ids), default=0) <= csv.field_size_limit()
+    nul_free = _CSV_READS_NUL or not any("\0" in sid for sid in sample_ids)
+    readable = nul_free and max(map(len, sample_ids), default=0) <= csv.field_size_limit()
 
     def hashed(chunks: Iterable[str]) -> Iterator[bytes]:
-        nonlocal plain
         for chunk in chunks:
             data = chunk.encode("utf-8")
-            plain = plain and b'"' not in data and b"\0" not in data
             digest.update(data)
             yield data
 
     _write_bytes(path, hashed(_csv_text(_header(column, width), sample_ids, values)))
-    if plain and path.is_file():
+    if readable and path.is_file():
         _store(_entry_path(path), digest.hexdigest(), sample_ids, values)
 
 
@@ -552,8 +552,8 @@ def load_labels(path: str | Path, num_classes: int) -> LabeledSamples:
             raise LabelRangeError(f"{path}: row {number}: label {label} outside [0, {num_classes})")
 
     def build(ids, labels):
-        # LabeledSamples has no class count. One entry serves every C, so a hit is checked too.
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
+        # LabeledSamples refuses a negative label but has no C. One entry serves every C, so a hit is checked too.
+        if labels.max(initial=0) >= num_classes:
             raise ValueError("label outside [0, num_classes)")
         return LabeledSamples(ids, labels[:, 0])
 
@@ -670,7 +670,12 @@ def load_ensemble(manifest: Manifest, base_dir: str | Path = ".") -> EnsembleInp
         labels = load_labels(base / manifest.labels_path, manifest.num_classes)
     finally:
         _first_ids.reset(token)
-    return EnsembleInputs(classifiers, labels)
+    try:
+        return EnsembleInputs(classifiers, labels)
+    except AlignmentError as exc:
+        ids = [ps.sample_ids for ps in classifiers]
+        path = next((e.path for e, i in zip(manifest.classifiers, ids) if i != ids[0]), manifest.labels_path)
+        raise AlignmentError(f"{base / path}: {exc}") from None
 
 
 def load_manifest(path: str | Path) -> EnsembleInputs:

@@ -28,8 +28,6 @@ from .errors import ConfigError, OracleScopeError, ValidationError, _integer, _r
 from .ga import MAX_POPULATION_SIZE
 from .rng import check_seed, make_rng
 
-ORACLE_MAX_CLASSIFIERS = 3
-
 # Upper limits on a spec's counts. ``generate`` holds a string id per sample
 # and one (num_samples, num_classes) float64 array per profile, so a larger
 # count is a ConfigError, not a failed allocation.
@@ -119,14 +117,10 @@ def brute_force_weights(
 
     Enumerates every weight vector with coordinates k/M (M =
     round(1/grid_step)) summing to 1 and returns the one with the lowest
-    full-data NLL, ties to the lexicographically smallest vector. Only
-    tractable for small ensembles: N <= 3 and at most 100 000 grid points.
+    full-data NLL, ties to the lexicographically smallest vector. The grid is one
+    population of at most 100 000 points: N = 3 at step 0.01, N = 8 at 0.25.
     """
     n = inputs.n_classifiers
-    if n > ORACLE_MAX_CLASSIFIERS:
-        raise OracleScopeError(
-            f"exhaustive search supports at most {ORACLE_MAX_CLASSIFIERS} classifiers, got {n}"
-        )
     _real(grid_step, "grid_step", ValidationError, 0, 0.5, "(]", one_message=True)
     # The grid is scored as one population. 1 / grid_step is inf for a subnormal step, which round() refuses.
     divisions = round(min(1.0 / grid_step, MAX_POPULATION_SIZE))

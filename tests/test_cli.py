@@ -409,6 +409,34 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert "3 classifiers" in result.stderr
 
+    def test_quoted_ids_written_by_write_ensemble_are_served_from_the_cache(self, tmp_path, runner, monkeypatch):
+        # The ids are written quoted, and the entries stored beside them are the ones a cold load stores.
+        ids = ("a,b", 'q"x', '"y"', "plain", "c,d,e")
+        rng = np.random.default_rng(5)
+        inputs = EnsembleInputs(
+            tuple(PredictionSet(f"m{k}", ids, rng.dirichlet(np.ones(3), size=len(ids))) for k in range(2)),
+            LabeledSamples(ids, [0, 1, 2, 0, 1]),
+        )
+        manifest = write_ensemble(inputs, tmp_path / "quoted")
+        cache = manifest.parent / ".softvote-cache"
+        written = _tree_bytes(cache)
+        calls = []
+        convert = ingest._convert
+        monkeypatch.setattr(ingest, "_convert", lambda *args: calls.append(1) or convert(*args))
+
+        def report(tag):
+            out = tmp_path / f"{tag}.json"
+            result = runner.invoke(cli, ["evaluate", "--manifest", str(manifest), "--format", "json", "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            return out.read_bytes()
+
+        warm = report("warm")
+        assert calls == []
+        shutil.rmtree(cache)
+        assert report("cold") == warm
+        assert len(calls) == 3
+        assert _tree_bytes(cache) == written
+
 
 class TestFuse:
     def test_equal_weights_match_majority_bytes(self, bundle, tmp_path, runner):
@@ -660,7 +688,7 @@ class TestSmallInputsBeforeData:
     def test_empty_subset(self, broken, runner, command):
         result = runner.invoke(cli, [command, "--manifest", str(broken), "--subset", " , "])
         assert result.exit_code == 1
-        assert result.stderr == "error: --subset must list at least one classifier name\n"
+        assert result.stderr == "error: subset needs at least one classifier name\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "fuse"])
     @pytest.mark.parametrize("subset", ["nosuch", "strong,nosuch"])
@@ -758,6 +786,15 @@ class TestMalformedInputsExitOne:
         result = runner.invoke(cli, [command, "--manifest", str(bundle)] + out)
         assert result.exit_code == 1
         assert re.search(f"^error: {re.escape(str(victim))}: row 4: {reason}$", result.stderr, re.M)
+
+    @pytest.mark.parametrize("command", ["evaluate", "fuse"])
+    def test_missing_label_names_the_labels_csv(self, bundle, runner, command):
+        labels = bundle.parent / "labels.csv"
+        lines = labels.read_text(encoding="utf-8").splitlines(keepends=True)
+        labels.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")  # drops s001
+        result = runner.invoke(cli, [command, "--manifest", str(bundle)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {labels}: sample 's001' has no ground-truth label\n"
 
     def test_string_num_classes_in_manifest(self, bundle, runner):
         manifest = json.loads(bundle.read_text(encoding="utf-8"))

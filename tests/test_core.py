@@ -93,7 +93,7 @@ class TestEnsembleInputs:
         a = PredictionSet("first", ("x", "y"), [[1.0, 0.0], [0.0, 1.0]])
         b = PredictionSet("second", ("x", "z"), [[1.0, 0.0], [0.0, 1.0]])
         labels = LabeledSamples(("x", "y", "z"), [0, 1, 1])
-        with pytest.raises(AlignmentError, match="second.*row 1"):
+        with pytest.raises(AlignmentError, match="second.*index 1"):
             EnsembleInputs((a, b), labels)
 
     def test_class_count_mismatch(self):

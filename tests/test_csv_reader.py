@@ -706,7 +706,8 @@ class TestSharedIds:
             with pytest.raises(AlignmentError) as info:
                 load_manifest(manifest)
             messages.append(str(info.value))
-        assert messages == [f"classifier 'm1' diverges from 'm0' at row 5: 'zz' vs '{ids[5]}'"] * 3
+        want = f"{victim}: classifier 'm1' diverges from 'm0' at index 5: 'zz' vs '{ids[5]}'"
+        assert messages == [want] * 3
 
     def test_ids_json_equal_in_value_but_not_in_bytes_is_served_and_shared(self, tmp_path, monkeypatch):
         manifest = _bundle(tmp_path)

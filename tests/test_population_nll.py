@@ -203,7 +203,8 @@ class TestRepeatedRows:
                 alone = metrics._population_nll(genes[row : row + 1], true_probs)[0]
                 assert got[row] == alone, f"row {row}: {got[row]!r} != {alone!r}"
 
-    @pytest.mark.parametrize("n, step", [(1, 0.01), (2, 0.01), (3, 0.02)])
+    # N > 3 runs wherever the grid is within the population limit: 286 and 330 points.
+    @pytest.mark.parametrize("n, step", [(1, 0.01), (2, 0.01), (3, 0.02), (4, 0.1), (8, 0.25)])
     def test_brute_force_is_the_row_by_row_argmin(self, n, step):
         rng = np.random.default_rng(n)
         inputs = random_ensemble(rng, n, 300, 4)

@@ -232,11 +232,11 @@ class TestBruteForceWeights:
         message = f"grid_step must be in (0, 0.5], got {step!r}"
         assert (type(info.value), str(info.value)) == (ValidationError, message)
 
-    # Grids of 100 001, 50 015 001 and 104 196 points; 1 / 5e-324 is inf.
-    @pytest.mark.parametrize("n, step", [(2, 1 / 100_000), (3, 1e-4), (3, 0.0022), (2, 5e-324)])
+    # Grids of 100 001, 50 015 001, 104 196 and 176 851 points; 1 / 5e-324 is inf.
+    @pytest.mark.parametrize("n, step", [(2, 1 / 100_000), (3, 1e-4), (3, 0.0022), (4, 0.01), (2, 5e-324)])
     def test_refuses_a_grid_over_the_point_limit_before_building_it(self, monkeypatch, one_hot_pair, n, step):
         probs = one_hot_pair.classifiers[0].probs
-        inputs = build_ensemble([probs] * n, one_hot_pair.label_array, names=list("abc")[:n])
+        inputs = build_ensemble([probs] * n, one_hot_pair.label_array, names=list("abcd")[:n])
         monkeypatch.setattr(synthgen, "_simplex_grid", lambda n, divisions: pytest.fail("grid built"))
         with pytest.raises(OracleScopeError) as info:
             brute_force_weights(inputs, step)
