@@ -97,8 +97,7 @@ def fuse_cmd(manifest_path: str, weights_path: str | None, subset: str | None, o
     """Write per-sample fused distributions plus a predicted-class column."""
     _, inputs, weights = _load_for_subset(manifest_path, subset, weights_path)
     fused = fuse_majority(inputs) if weights is None else fuse_weighted(inputs, weights)
-    header = ingest._header("p{}", inputs.num_classes) + ["predicted"]
-    _emit(ingest._csv_text(header, inputs.sample_ids, fused, argmax_classes(fused)), out)
+    _emit(ingest._csv_text("p{}", inputs.sample_ids, fused, argmax_classes(fused)), out)
 
 
 @cli.command("search-weights")
@@ -169,17 +168,15 @@ def report_cmd(report_path: str, manifest_path: str | None, out: str, fmt: str) 
     if fmt == "json":
         _emit([ingest.report_to_json(report)], out)
         return
-    if manifest_path is not None:
+    if manifest_path is None:
+        class_names = ingest._posture_names(report.num_classes)
+    else:
         class_names = ingest.read_manifest(manifest_path).class_names
         if len(class_names) != report.num_classes:
             raise DimensionError(
                 f"{manifest_path}: class_names lists {len(class_names)} names "
                 f"but {report_path} has {report.num_classes} classes"
             )
-    elif report.num_classes == len(ingest.DEFAULT_CLASS_NAMES):
-        class_names = ingest.DEFAULT_CLASS_NAMES
-    else:
-        class_names = None
     _emit([ingest.render_report_table(report, class_names)], out)
 
 

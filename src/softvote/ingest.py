@@ -39,11 +39,11 @@ Both CSV readers share one reader, ``_read_table``, with the csv module's
 default dialect: a cell may be quoted (so an id may hold commas, quotes
 or line breaks), LF, CRLF and CR all end a row, and blank rows are
 skipped. Row numbers count records from the header's 1, blank ones
-included. The first pass only parses: per block of rows, a cell-count
-check and one numpy call (``_convert``) that parses every cell as
-``float()`` or ``int()`` would. The loader's ``build`` then checks the
-[0, C) range of labels, which ``LabeledSamples`` cannot check without C,
-and calls the type's public constructor, ``PredictionSet`` or
+included. The first pass only parses: per block of rows, one numpy call
+(``_convert``) that parses every cell as ``float()`` or ``int()`` would
+and refuses a block with a wrong cell count. The loader's ``build`` then
+checks the [0, C) range of labels, which ``LabeledSamples`` cannot check
+without C, and calls the type's public constructor, ``PredictionSet`` or
 ``LabeledSamples``, which checks the ids and every row, once, over the
 whole file. If the parse or ``build`` fails, a walk from the
 top of the text already decoded names the file and its first bad row, so
@@ -57,21 +57,22 @@ for labels a value outside [0, C).
 Each load of a regular CSV file is cached in ``.softvote-cache/`` beside
 it, one entry per file, written only after ``build`` accepted the file.
 ``write_predictions`` and ``write_labels`` store the same entry for each
-regular file they write that a load would accept: no id past the csv field
-limit, and no NUL in an id where csv refuses one.
-An entry holds one JSON line (the key, a CRC-32 of the payload and the
-byte count of its ids), then the payload: the sample ids as a JSON array
-and the values as raw little-endian float64 or int64. The key is a
-BLAKE2b digest of the file's exact bytes, the header's column name and
-count, the value dtype, the csv field limit, whether csv reads a NUL
-(3.11's does, 3.10's refuses it) and ``_CACHE_FORMAT``; no file time or
-size is part of it, so one labels entry serves every C. A load whose
-entry's head line holds a key hashes the CSV into a key as a stream
-(``_CHUNK`` bytes at a time into one buffer), and reads the payload only
-if the keys match. Such a hit keeps no copy of the CSV and passes the
-cached ids and values to ``build``, so every row, id and label range is
-checked as on a first load. Otherwise the file is read whole and those
-bytes are hashed, parsed and stored: a stale entry costs a second read.
+regular file they write. ``_cacheable`` decides for both whether a file
+gets an entry: every id within the csv field limit and none holding a NUL
+(which csv reads from Python 3.11 on and refuses before), so an entry is
+valid on every Python. An entry holds one JSON line (the key, a CRC-32 of
+the payload and the byte count of its ids), then the payload: the sample
+ids as a JSON array and the values as raw little-endian float64 or int64.
+The key is a BLAKE2b digest of the file's exact bytes, the header's
+column name and count, the value dtype, the csv field limit and
+``_CACHE_FORMAT``; no file time or size is part of it, so one labels
+entry serves every C. A load whose entry's head line holds a key hashes
+the CSV into a key as a stream (``_CHUNK`` bytes at a time into one
+buffer), and reads the payload only if the keys match. Such a hit keeps
+no copy of the CSV and passes the cached ids and values to ``build``, so
+every row, id and label range is checked as on a first load. Otherwise
+the file is read whole and those bytes are hashed, parsed and stored: a
+stale entry costs a second read.
 A failed write of an entry is ignored, so the cache changes no result
 and no error. Within one ``load_ensemble`` every file whose ids equal
 the first file's gets that file's tuple, and an entry's ids JSON that
@@ -127,6 +128,11 @@ DEFAULT_CLASS_NAMES = (
     "hair and makeup",
     "talk to passenger",
 )
+
+
+def _posture_names(num_classes: int) -> tuple[str, ...] | None:
+    """The paper's posture names when there are 10 classes, else None."""
+    return DEFAULT_CLASS_NAMES if num_classes == len(DEFAULT_CLASS_NAMES) else None
 
 
 @dataclass(frozen=True)
@@ -264,20 +270,22 @@ def _table_blocks(path: Path, column: str, width: int, text: str) -> Iterator[tu
 
 # Part of every cache key: a change to the entry layout or to what a parse
 # accepts or returns must change it, so that older entries stop matching.
-_CACHE_FORMAT = "softvote-cache 5"
+_CACHE_FORMAT = "softvote-cache 6"
 _CACHE_DIR = ".softvote-cache"
 _ENTRY_SCHEMA = {"key": str, "digest": int, "ids": int}
 _CHUNK = 1 << 16  # bytes per read when a CSV is hashed to probe its entry
 _first_ids: ContextVar[list | None] = ContextVar("first_ids", default=None)  # in ``load_ensemble``: see ``_shared_ids``
-try:  # Whether csv.reader reads a NUL (3.11's does; 3.10's refuses one): part of every key.
-    _CSV_READS_NUL = next(csv.reader(["\0"])) == ["\0"]
-except csv.Error:
-    _CSV_READS_NUL = False
+
+
+def _cacheable(ids: Sequence[str]) -> bool:
+    """Whether a CSV with these ids may have an entry, on a write or a load: every id within the csv field limit
+    (which the key holds) and none holding a NUL (which csv reads from 3.11 on only), so an entry serves any Python."""
+    return max(map(len, ids), default=0) <= csv.field_size_limit() and "\0" not in "".join(ids)
 
 
 def _cache_key(column: str, width: int, dtype: type, data: bytes = b""):
     """A BLAKE2b of everything a parse depends on, then of ``data``; fed all of a CSV's bytes, it is their key."""
-    parse = [_CACHE_FORMAT, column, width, np.dtype(dtype).str, csv.field_size_limit(), _CSV_READS_NUL]
+    parse = [_CACHE_FORMAT, column, width, np.dtype(dtype).str, csv.field_size_limit()]
     digest = blake2b(json.dumps(parse).encode() + b"\0")
     digest.update(data)
     return digest
@@ -342,8 +350,11 @@ def _store(entry: Path, key: str, ids: tuple[str, ...], values: np.ndarray) -> N
 
 
 def _convert(records: list[list[str]], dtype: type, width: int) -> np.ndarray:
-    """The value cells of ``records`` as a (rows, ``width``) array; np.array parses each as ``dtype`` does."""
-    return np.array([record[1:] for record in records], dtype=dtype).reshape(-1, width)
+    """The value cells of ``records``, each parsed as ``dtype`` does; a block not (rows, ``width``) is a ValueError."""
+    values = np.array([record[1:] for record in records], dtype=dtype)
+    if values.shape != (len(records), width):
+        raise ValueError("wrong cell count")
+    return values
 
 
 def _read_table(
@@ -362,9 +373,10 @@ def _read_table(
     top in the module docstring's order (``check_row(number, record)``
     last); its first bad row raises.
 
-    A regular file's ids and values are cached once ``build`` accepts them,
-    keyed by its bytes, ``column``, ``width`` and ``dtype``: all the parse
-    reads. A hit skips the parse and still hands the ids and values to ``build``.
+    A regular file's ids and values are cached once ``build`` accepts them
+    and ``_cacheable`` allows the ids, keyed by its bytes, ``column``,
+    ``width`` and ``dtype``: all the parse reads. A hit skips the parse and
+    still hands the ids and values to ``build``.
     """
     entry = _entry_path(path) if path.is_file() else None
     cached = _cached(entry, path, column, width, dtype) if entry is not None else None
@@ -384,8 +396,6 @@ def _read_table(
             records = [record for record in records if record]
             if not records:
                 continue
-            if set(map(len, records)) - {width + 1}:
-                raise ValueError("wrong cell count")
             arrays.append(_convert(records, dtype, width))
             ids.extend([record[0] for record in records])
         values = np.concatenate(arrays)
@@ -396,7 +406,7 @@ def _read_table(
     except (ValueError, OverflowError):  # ValidationError is a ValueError
         pass
     else:
-        if entry is not None:
+        if entry is not None and _cacheable(ids):
             _store(entry, key, ids, values)
         return result
     seen: dict[str, int] = {}
@@ -424,17 +434,19 @@ def _csv_id(sid: str) -> str:
 
 
 def _csv_text(
-    header: Sequence[str],
+    column: str,
     sample_ids: Sequence[str],
     values: np.ndarray,
     predicted: np.ndarray | None = None,
 ) -> Iterator[str]:
-    """A headed CSV as one string per block of about ``_BLOCK_CELLS`` cells.
+    """A CSV as one string per block of about ``_BLOCK_CELLS`` cells.
 
-    Row i holds sample id i, then ``repr`` of each entry of ``values[i]``
-    (shortest round-trip for floats), then ``predicted[i]`` when given.
-    Only one block's text and Python objects exist at a time.
+    The header is ``_header(column, width)``, plus ``predicted`` for the fused
+    CSV. Row i holds sample id i, then ``repr`` of each entry of ``values[i]``
+    (shortest round-trip for floats), then ``predicted[i]`` when given. Only
+    one block's text and Python objects exist at a time.
     """
+    header = _header(column, values.shape[1]) + ([] if predicted is None else ["predicted"])
     yield ",".join(header) + "\n"
     size = max(1, _BLOCK_CELLS // len(header))
     for start in range(0, len(sample_ids), size):
@@ -491,14 +503,11 @@ def _write_table(path: str | Path, column: str, sample_ids: tuple[str, ...], val
 
     The bytes are hashed into the key as they are written. Shortest-repr
     floats parse back bit for bit, and a hit still runs the loader's checks.
-    A regular file gets the entry exactly when a load would accept it: every id is within
-    the csv field limit and, where csv refuses a NUL (Python 3.10), none holds one.
+    A regular file gets the entry when ``_cacheable`` allows its ids, as a
+    load's does; a load accepts every such file on every Python.
     """
     path = Path(path)
-    width = values.shape[1]
-    digest = _cache_key(column, width, values.dtype)
-    nul_free = _CSV_READS_NUL or not any("\0" in sid for sid in sample_ids)
-    readable = nul_free and max(map(len, sample_ids), default=0) <= csv.field_size_limit()
+    digest = _cache_key(column, values.shape[1], values.dtype)
 
     def hashed(chunks: Iterable[str]) -> Iterator[bytes]:
         for chunk in chunks:
@@ -506,8 +515,8 @@ def _write_table(path: str | Path, column: str, sample_ids: tuple[str, ...], val
             digest.update(data)
             yield data
 
-    _write_bytes(path, hashed(_csv_text(_header(column, width), sample_ids, values)))
-    if readable and path.is_file():
+    _write_bytes(path, hashed(_csv_text(column, sample_ids, values)))
+    if path.is_file() and _cacheable(sample_ids):
         _store(_entry_path(path), digest.hexdigest(), sample_ids, values)
 
 
@@ -731,17 +740,8 @@ def read_report(path: str | Path) -> EvaluationReport:
 
 
 def report_to_json(report: EvaluationReport) -> str:
-    return json.dumps(
-        {
-            "nll": float(report.nll),
-            "accuracy_percent": float(report.accuracy_percent),
-            "confusion": [[float(v) for v in row] for row in report.confusion],
-            "per_class_accuracy": [float(v) for v in report.per_class_accuracy],
-            "classifier_names": list(report.classifier_names),
-            "sample_count": int(report.sample_count),
-        },
-        indent=2,
-    ) + "\n"
+    """The report file's text: the fields ``_REPORT_SCHEMA`` names, in its order, the arrays as nested lists."""
+    return json.dumps({k: getattr(report, k) for k in _REPORT_SCHEMA}, indent=2, default=np.ndarray.tolist) + "\n"
 
 
 def render_report_table(report: EvaluationReport, class_names: Sequence[str] | None = None) -> str:
@@ -858,16 +858,17 @@ def write_ensemble(inputs: EnsembleInputs, out_dir: str | Path) -> Path:
     Returns the manifest path. 10-class ensembles get the default posture
     names and anything else gets ``class_0``...
     """
-    if inputs.num_classes == len(DEFAULT_CLASS_NAMES):
-        class_names = DEFAULT_CLASS_NAMES
-    else:
-        class_names = tuple(f"class_{i}" for i in range(inputs.num_classes))
+    class_names = _posture_names(inputs.num_classes) or tuple(f"class_{i}" for i in range(inputs.num_classes))
     # Every file name is resolved and the manifest checked before any file
-    # is written, so a clash leaves no partial bundle behind.
+    # is written, so a clash leaves no partial bundle behind. Names that
+    # differ only in letter case clash too: macOS and Windows file systems
+    # take them for one file.
     files = [_safe_filename(name) + ".csv" for name in inputs.classifier_names]
-    clash = _first_duplicate(["labels.csv", *files])
+    names = ["labels.csv", *files]
+    folded = [name.lower() for name in names]
+    clash = _first_duplicate(folded)
     if clash is not None:
-        raise ValidationError(f"classifier file name clash: {clash}")
+        raise ValidationError(f"classifier file name clash: {names[folded.index(clash, folded.index(clash) + 1)]}")
     manifest = Manifest(
         num_classes=inputs.num_classes,
         class_names=class_names,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import softvote
 from softvote import (
     EnsembleInputs,
+    EvaluationReport,
     GAConfig,
     LabeledSamples,
     PredictionSet,
@@ -28,6 +29,7 @@ from softvote import (
     read_weights,
     run_ga,
     write_ensemble,
+    write_report,
 )
 from softvote import ingest, synthgen
 from softvote.cli import cli
@@ -561,6 +563,54 @@ class TestReportCommand:
         assert result.exit_code == 0
         assert "C0 = safe driving" in result.stdout
         assert "C9 = talk to passenger" in result.stdout
+
+    def test_table_without_a_manifest_has_no_legend_unless_there_are_ten_classes(self, tmp_path, runner):
+        three = EvaluationReport(
+            nll=0.30000000000000004,
+            accuracy_percent=62.5,
+            confusion=[[100.0, 0.0, 0.0], [25.0, 75.0, 0.0], [0.0, 0.0, 0.0]],
+            per_class_accuracy=[100.0, 75.0, 0.0],
+            classifier_names=("a", "b"),
+            sample_count=8,
+        )
+        confusion = np.eye(10) * 100.0
+        confusion[9, 8:] = 50.0
+        ten = EvaluationReport(
+            nll=0.125,
+            accuracy_percent=95.0,
+            confusion=confusion,
+            per_class_accuracy=np.diag(confusion),
+            classifier_names=("net_0", "net_1"),
+            sample_count=20,
+        )
+        tables = []
+        for report in (three, ten):
+            path = tmp_path / "r.json"
+            write_report(report, path)
+            result = runner.invoke(cli, ["report", str(path)])
+            assert result.exit_code == 0, result.output
+            tables.append(result.stdout)
+        assert tables[0] == (
+            "NLL: 0.3000\nAccuracy: 62.50\nSamples: 8\nClassifiers: a, b\n\n"
+            "Confusion (row %, actual class x predicted class):\n"
+            "            C0     C1     C2\n"
+            "C0      100.00   0.00   0.00\n"
+            "C1       25.00  75.00   0.00\n"
+            "C2           -      -      -\n"
+            "\nno samples with actual class: C2\n"
+        )
+        rows = [
+            f"C{i}     " + "".join(f"{'100.00' if j == i else '0.00':>7}" for j in range(10)) for i in range(9)
+        ]
+        assert tables[1] == (
+            "NLL: 0.1250\nAccuracy: 95.00\nSamples: 20\nClassifiers: net_0, net_1\n\n"
+            "Confusion (row %, actual class x predicted class):\n"
+            "            C0     C1     C2     C3     C4     C5     C6     C7     C8     C9\n"
+            + "".join(row + "\n" for row in rows)
+            + "C9        0.00   0.00   0.00   0.00   0.00   0.00   0.00   0.00  50.00  50.00\n"
+            "\nC0 = safe driving\nC1 = text right\nC2 = talk right\nC3 = text left\nC4 = talk left\n"
+            "C5 = adjust radio\nC6 = drink\nC7 = reach behind\nC8 = hair and makeup\nC9 = talk to passenger\n"
+        )
 
     def test_manifest_supplies_class_names(self, bundle, tmp_path, runner):
         report_path = self._report_file(bundle, tmp_path, runner)

@@ -487,18 +487,21 @@ class TestLoadCache:
         finally:
             csv.field_size_limit(old)
 
-    def test_an_entry_stored_under_one_nul_rule_is_not_served_under_the_other(
-        self, tmp_path, monkeypatch, convert_calls
-    ):
-        # csv reads a NUL from Python 3.11 on and refuses one before, so a
-        # cache shared by both must not serve 3.10 a file its own parse refuses
-        # (such as one holding "a\0b", which 3.11 parses and stores).
-        assert ingest._CSV_READS_NUL is (sys.version_info >= (3, 11))
-        p = _write(tmp_path, "sample_id,p0,p1\na,0.5,0.5\n")
-        for reads_nul in (True, True, False, False, True):
-            monkeypatch.setattr(ingest, "_CSV_READS_NUL", reads_nul)
-            assert load_predictions(p, 2).sample_ids == ("a",)
-        assert convert_calls == [1, 1, 1]
+    def test_a_nul_in_an_id_gets_no_entry_from_a_write_or_a_load(self, tmp_path, convert_calls):
+        # csv reads a NUL from Python 3.11 on and refuses one before, so an
+        # entry for such a file would serve one Python a file another refuses.
+        # None is stored: 3.11 parses the file on every load, 3.10 refuses it.
+        p = tmp_path / "m.csv"
+        write_predictions(PredictionSet("m", ("a\0b",), [[0.5, 0.5]]), p)
+        assert not (tmp_path / ".softvote-cache").exists()
+        for _ in range(2):
+            if sys.version_info >= (3, 11):
+                assert load_predictions(p, 2).sample_ids == ("a\0b",)
+            else:
+                with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: row 2: "):
+                    load_predictions(p, 2)
+        assert not (tmp_path / ".softvote-cache").exists()
+        assert convert_calls == ([1, 1] if sys.version_info >= (3, 11) else [])
 
     def test_a_file_in_place_of_the_cache_directory_only_costs_speed(self, tmp_path, convert_calls):
         (tmp_path / ".softvote-cache").write_bytes(b"not a directory\n")
@@ -802,7 +805,8 @@ class TestRoundTripProperty:
     def test_valid_sets_read_back_bit_identical(self, tmp_path, monkeypatch, convert_calls, ps, block):
         # The second load of each file comes from the cache entry the first
         # one wrote: the same ids and value bytes, with no cell parsed. The
-        # writes store entries too, so the first load starts with none.
+        # writes store entries too, so the first load starts with none. A
+        # file with a NUL in an id gets no entry, so each load parses it.
         _use_block(monkeypatch, block)
         p = tmp_path / "m.csv"
         write_predictions(ps, p)
@@ -810,6 +814,7 @@ class TestRoundTripProperty:
         lp = tmp_path / "l.csv"
         write_labels(labels, lp)
         shutil.rmtree(tmp_path / ".softvote-cache", ignore_errors=True)
+        nul = any("\0" in sid for sid in ps.sample_ids)
         for warm in (False, True):
             convert_calls.clear()
             again = load_predictions(p, ps.num_classes)
@@ -818,7 +823,7 @@ class TestRoundTripProperty:
             back = load_labels(lp, ps.num_classes)
             assert back.sample_ids == labels.sample_ids
             assert back.labels.tobytes() == labels.labels.tobytes()
-            assert (convert_calls == []) == warm
+            assert (convert_calls == []) == (warm and not nul)
 
 
 csv_ish = st.text(

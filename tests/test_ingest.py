@@ -190,6 +190,25 @@ class TestRoundTrips:
         assert again.nll == report.nll
         np.testing.assert_array_equal(again.confusion, report.confusion)
 
+    def test_report_file_bytes(self, tmp_path):
+        report = EvaluationReport(
+            nll=0.30000000000000004,
+            accuracy_percent=62.5,
+            confusion=[[100.0, 0.0, 0.0], [25.0, 75.0, 0.0], [0.0, 0.0, 0.0]],
+            per_class_accuracy=[100.0, 75.0, 0.0],
+            classifier_names=("a", "b"),
+            sample_count=8,
+        )
+        write_report(report, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text(encoding="utf-8") == (
+            '{\n  "nll": 0.30000000000000004,\n  "accuracy_percent": 62.5,\n  "confusion": [\n'
+            "    [\n      100.0,\n      0.0,\n      0.0\n    ],\n"
+            "    [\n      25.0,\n      75.0,\n      0.0\n    ],\n"
+            "    [\n      0.0,\n      0.0,\n      0.0\n    ]\n  ],\n"
+            '  "per_class_accuracy": [\n    100.0,\n    75.0,\n    0.0\n  ],\n'
+            '  "classifier_names": [\n    "a",\n    "b"\n  ],\n  "sample_count": 8\n}\n'
+        )
+
     def test_ga_config_round_trip(self, tmp_path):
         config = GAConfig(population_size=30, elite_fraction=0.3, seed=99)
         p = tmp_path / "ga.json"
@@ -306,7 +325,17 @@ class TestManifestLoading:
         with pytest.raises(FormatError, match="invalid JSON"):
             read_manifest(p)
 
-    @pytest.mark.parametrize("names, clash", [(("m0", "labels"), "labels.csv"), (("a b", "a_b"), "a_b.csv")])
+    @pytest.mark.parametrize(
+        "names, clash",
+        [
+            (("m0", "labels"), "labels.csv"),
+            (("a b", "a_b"), "a_b.csv"),
+            # One file on macOS and Windows file systems, which ignore letter case.
+            (("NetA", "m1", "neta"), "neta.csv"),
+            (("m0", "LABELS"), "LABELS.csv"),
+            (("a B", "A_b"), "A_b.csv"),
+        ],
+    )
     def test_file_name_clash_writes_nothing(self, tmp_path, names, clash):
         spec = GeneratorSpec(3, 10, tuple(ClassifierProfile(n, 0.8, 2.0) for n in names), seed=0)
         out = tmp_path / "bundle"

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import re
@@ -92,6 +93,31 @@ def test_every_module_level_name_is_used():
             if not name.startswith("__") and name not in softvote._MODULE_OF and not users.get(name, set()) - {id(node)}:
                 orphans.append(f"{module}.{name}")
     assert not orphans, f"module-level names that nothing else in src/ uses: {orphans}"
+
+
+# Names the benchmark's tracer wraps that a refactor already removed; each
+# zeroes a per-layer metric until the tracer stops naming attributes.
+_TRACER_TARGETS_GONE = {
+    "core._fuse_tensor", "ga._fuse_tensor", "ga.select_parents", "ga.mutate_parents", "ga.crossover_fill",
+}
+
+
+def test_the_tracer_wraps_names_that_exist():
+    # perfbench/tracing.py replaces each (module, attribute) of ``PATCHES``,
+    # and ``EnsembleInputs.tensor`` and ``ga.run_ga`` besides, when the
+    # attribute is in the module's (or class's) ``vars``; a missing one
+    # silently reads 0. Read from its source, so the tracer is not imported.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    (patches,) = [
+        node.value for node in tree.body if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHES"]
+    ]
+    targets = [(entry.elts[0].value, entry.elts[1].value) for entry in patches.elts] + [("ga", "run_ga")]
+    assert len(targets) > 30
+    modules = {name: importlib.import_module(f"softvote.{name}") for name, _ in targets}
+    missing = {f"{module}.{attr}" for module, attr in targets if attr not in vars(modules[module])}
+    if "tensor" not in vars(modules["core"].EnsembleInputs):
+        missing.add("core.EnsembleInputs.tensor")
+    assert not missing - _TRACER_TARGETS_GONE, f"tracer targets gone from src/: {sorted(missing - _TRACER_TARGETS_GONE)}"
 
 
 def _python(args, cwd=None, **env):
