@@ -55,12 +55,10 @@ sum that misses 1 (decided by ``math.fsum``, as in ``PredictionSet``);
 for labels a value outside [0, C).
 
 Each load of a regular CSV file is cached in ``.softvote-cache/`` beside
-it, one entry per file, written only after ``build`` accepted the file.
+it, one entry per file, written after every parse that ``build`` accepted.
 ``write_predictions`` and ``write_labels`` store the same entry for each
-regular file they write. ``_cacheable`` decides for both whether a file
-gets an entry: every id within the csv field limit and none holding a NUL
-(which csv reads from Python 3.11 on and refuses before), so an entry is
-valid on every Python. An entry holds one JSON line (the key, a CRC-32 of
+regular file they write whose ids all fit the csv field limit, which a
+parse of it requires. An entry holds one JSON line (the key, a CRC-32 of
 the payload and the byte count of its ids), then the payload: the sample
 ids as a JSON array and the values as raw little-endian float64 or int64.
 The key is a BLAKE2b digest of the file's exact bytes, the header's
@@ -201,8 +199,8 @@ def _decoded(path: str | Path, data: bytes) -> str:
 def _record_blocks(path: Path, text: str, size: int):
     """Split CSV text into lists of at most ``size`` records, as csv.reader does.
 
-    A blank line is the record ``[]``. Text with no quote, no NUL and one
-    kind of line end (LF, CRLF or CR) is split with ``str.split``, a block
+    A blank line is the record ``[]``. Text with no quote and one kind of
+    line end (LF, CRLF or CR) is split with ``str.split``, a block
     of lines at a time, where csv.reader would split it: at every comma
     and every line end. Other text, such as text that mixes line ends,
     goes through csv.reader, which ends a row at each of CRLF, CR and LF
@@ -214,7 +212,7 @@ def _record_blocks(path: Path, text: str, size: int):
     newline = "\r" if "\n" not in text else "\n" if "\r" not in text else "\r\n"
     if newline == "\r\n" and not text.count("\r") == text.count("\n") == text.count("\r\n"):
         newline = None  # a CR or an LF stands alone
-    if newline and '"' not in text and "\0" not in text:
+    if newline and '"' not in text:
         limit, end, last = csv.field_size_limit(), 0, newline[-1]
         while end < len(text):
             start = end
@@ -270,17 +268,11 @@ def _table_blocks(path: Path, column: str, width: int, text: str) -> Iterator[tu
 
 # Part of every cache key: a change to the entry layout or to what a parse
 # accepts or returns must change it, so that older entries stop matching.
-_CACHE_FORMAT = "softvote-cache 6"
+_CACHE_FORMAT = "softvote-cache 7"
 _CACHE_DIR = ".softvote-cache"
 _ENTRY_SCHEMA = {"key": str, "digest": int, "ids": int}
 _CHUNK = 1 << 16  # bytes per read when a CSV is hashed to probe its entry
 _first_ids: ContextVar[list | None] = ContextVar("first_ids", default=None)  # in ``load_ensemble``: see ``_shared_ids``
-
-
-def _cacheable(ids: Sequence[str]) -> bool:
-    """Whether a CSV with these ids may have an entry, on a write or a load: every id within the csv field limit
-    (which the key holds) and none holding a NUL (which csv reads from 3.11 on only), so an entry serves any Python."""
-    return max(map(len, ids), default=0) <= csv.field_size_limit() and "\0" not in "".join(ids)
 
 
 def _cache_key(column: str, width: int, dtype: type, data: bytes = b""):
@@ -373,10 +365,10 @@ def _read_table(
     top in the module docstring's order (``check_row(number, record)``
     last); its first bad row raises.
 
-    A regular file's ids and values are cached once ``build`` accepts them
-    and ``_cacheable`` allows the ids, keyed by its bytes, ``column``,
-    ``width`` and ``dtype``: all the parse reads. A hit skips the parse and
-    still hands the ids and values to ``build``.
+    A regular file's ids and values are cached once ``build`` accepts them,
+    keyed by its bytes, ``column``, ``width`` and ``dtype``: all the parse
+    reads. A hit skips the parse and still hands the ids and values to
+    ``build``.
     """
     entry = _entry_path(path) if path.is_file() else None
     cached = _cached(entry, path, column, width, dtype) if entry is not None else None
@@ -406,7 +398,7 @@ def _read_table(
     except (ValueError, OverflowError):  # ValidationError is a ValueError
         pass
     else:
-        if entry is not None and _cacheable(ids):
+        if entry is not None:
             _store(entry, key, ids, values)
         return result
     seen: dict[str, int] = {}
@@ -503,8 +495,8 @@ def _write_table(path: str | Path, column: str, sample_ids: tuple[str, ...], val
 
     The bytes are hashed into the key as they are written. Shortest-repr
     floats parse back bit for bit, and a hit still runs the loader's checks.
-    A regular file gets the entry when ``_cacheable`` allows its ids, as a
-    load's does; a load accepts every such file on every Python.
+    A regular file gets the entry when every id fits the csv field limit,
+    as a load of it requires.
     """
     path = Path(path)
     digest = _cache_key(column, values.shape[1], values.dtype)
@@ -516,7 +508,7 @@ def _write_table(path: str | Path, column: str, sample_ids: tuple[str, ...], val
             yield data
 
     _write_bytes(path, hashed(_csv_text(column, sample_ids, values)))
-    if path.is_file() and _cacheable(sample_ids):
+    if path.is_file() and max(map(len, sample_ids), default=0) <= csv.field_size_limit():
         _store(_entry_path(path), digest.hexdigest(), sample_ids, values)
 
 

@@ -103,17 +103,16 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
     and score with :func:`_mean_nll`.
 
     Each distinct row is scored once and its score copied to the rows
-    that repeat it; rows count as the same when their values are equal
-    (so 0.0 and -0.0 genes match, and score the same bits). Distinct rows
-    are scored a block at a time in two preallocated scratch buffers of at
-    most :data:`_SCORE_BLOCK_CELLS` cells each (one row when a row alone
-    is longer), so memory does not grow with the population.
+    that repeat it; rows count as the same when their bytes are equal.
+    Distinct rows are scored a block at a time in two preallocated
+    scratch buffers of at most :data:`_SCORE_BLOCK_CELLS` cells each (one
+    row when a row alone is longer), so memory does not grow with the
+    population.
     """
     n_samples = true_probs.shape[1]
     if n_samples == 0:
         raise EmptyInputError("need at least one sample")
-    # + 0.0 turns -0.0 into 0.0, so equal rows have equal bytes: one void item each.
-    rows = np.ascontiguousarray(genes + 0.0)
+    rows = np.ascontiguousarray(genes)  # one void item per row
     keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").reshape(-1)
     keys, inverse = np.unique(keys, return_inverse=True)
     distinct = keys.view(np.float64).reshape(-1, rows.shape[1])

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from softvote import (
@@ -409,6 +409,14 @@ def _rewritten_entry(entry, drop_rows=0, ids=None, separators=None):
     return json.dumps(meta).encode() + b"\n" + payload
 
 
+def _first_value_flipped(good):
+    """``good`` with bit 0 of the payload's first byte after the ids flipped: a value that still
+    passes every check (the first float's lowest mantissa bit, or the first label's low bit)."""
+    head = good.partition(b"\n")[0]
+    at = len(head) + 1 + json.loads(head)["ids"]
+    return good[:at] + bytes([good[at] ^ 1]) + good[at + 1 :]
+
+
 class TestLoadCache:
     def test_each_file_gets_one_entry_beside_it(self, tmp_path):
         for text, load in LOADS.values():
@@ -436,6 +444,8 @@ class TestLoadCache:
         [
             lambda entry, good: good[: len(good) // 2],
             lambda entry, good: good[:-1] + bytes([good[-1] ^ 1]),
+            # Only the payload digest can catch this one.
+            lambda entry, good: _first_value_flipped(good),
             # One value row fewer than ids, with its own digest right.
             lambda entry, good: _rewritten_entry(entry, drop_rows=1),
             lambda entry, good: b"\x00garbage\xff\n" * 3,
@@ -445,7 +455,7 @@ class TestLoadCache:
             lambda entry, good: _rewritten_entry(entry, ids=[["a1"], "b2"]),
             lambda entry, good: _rewritten_entry(entry, ids={"a1": 0, "b2": 1}),
         ],
-        ids=["truncated", "flipped", "wrong-shape", "garbage", "int-ids", "list-id", "object-ids"],
+        ids=["truncated", "flipped", "first-value-flipped", "wrong-shape", "garbage", "int-ids", "list-id", "object-ids"],
     )
     def test_a_damaged_entry_is_parsed_around_and_rewritten(self, tmp_path, convert_calls, kind, damage):
         text, load = LOADS[kind]
@@ -487,21 +497,21 @@ class TestLoadCache:
         finally:
             csv.field_size_limit(old)
 
-    def test_a_nul_in_an_id_gets_no_entry_from_a_write_or_a_load(self, tmp_path, convert_calls):
-        # csv reads a NUL from Python 3.11 on and refuses one before, so an
-        # entry for such a file would serve one Python a file another refuses.
-        # None is stored: 3.11 parses the file on every load, 3.10 refuses it.
+    def test_a_nul_in_an_id_gets_an_entry_from_a_write_and_a_load(self, tmp_path, convert_calls):
+        # csv reads a NUL as any other character, so such a file is cached as
+        # any other is: no load after the write parses it, and once the cache
+        # is removed only the first load does.
         p = tmp_path / "m.csv"
         write_predictions(PredictionSet("m", ("a\0b",), [[0.5, 0.5]]), p)
-        assert not (tmp_path / ".softvote-cache").exists()
+        written = _entry(p).read_bytes()
         for _ in range(2):
-            if sys.version_info >= (3, 11):
-                assert load_predictions(p, 2).sample_ids == ("a\0b",)
-            else:
-                with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: row 2: "):
-                    load_predictions(p, 2)
-        assert not (tmp_path / ".softvote-cache").exists()
-        assert convert_calls == ([1, 1] if sys.version_info >= (3, 11) else [])
+            assert load_predictions(p, 2).sample_ids == ("a\0b",)
+        assert convert_calls == []
+        shutil.rmtree(tmp_path / ".softvote-cache")
+        for _ in range(2):
+            assert load_predictions(p, 2).sample_ids == ("a\0b",)
+        assert convert_calls == [1]
+        assert _entry(p).read_bytes() == written
 
     def test_a_file_in_place_of_the_cache_directory_only_costs_speed(self, tmp_path, convert_calls):
         (tmp_path / ".softvote-cache").write_bytes(b"not a directory\n")
@@ -802,11 +812,11 @@ def prediction_sets(draw):
 class TestRoundTripProperty:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ps=prediction_sets(), block=st.sampled_from(BLOCK_SIZES))
+    @example(ps=PredictionSet("m", ("a\0b", "c"), [[0.5, 0.5], [0.25, 0.75]]), block=None)
     def test_valid_sets_read_back_bit_identical(self, tmp_path, monkeypatch, convert_calls, ps, block):
         # The second load of each file comes from the cache entry the first
         # one wrote: the same ids and value bytes, with no cell parsed. The
-        # writes store entries too, so the first load starts with none. A
-        # file with a NUL in an id gets no entry, so each load parses it.
+        # writes store entries too, so the first load starts with none.
         _use_block(monkeypatch, block)
         p = tmp_path / "m.csv"
         write_predictions(ps, p)
@@ -814,7 +824,6 @@ class TestRoundTripProperty:
         lp = tmp_path / "l.csv"
         write_labels(labels, lp)
         shutil.rmtree(tmp_path / ".softvote-cache", ignore_errors=True)
-        nul = any("\0" in sid for sid in ps.sample_ids)
         for warm in (False, True):
             convert_calls.clear()
             again = load_predictions(p, ps.num_classes)
@@ -823,7 +832,7 @@ class TestRoundTripProperty:
             back = load_labels(lp, ps.num_classes)
             assert back.sample_ids == labels.sample_ids
             assert back.labels.tobytes() == labels.labels.tobytes()
-            assert (convert_calls == []) == (warm and not nul)
+            assert (convert_calls == []) == warm
 
 
 csv_ish = st.text(

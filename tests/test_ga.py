@@ -21,7 +21,7 @@ from softvote import (
 )
 from softvote.ga import _breed, _draw_fitness_sample, _initial_genes, _mutate_rows, _parent_rows
 
-from conftest import random_ensemble
+from conftest import build_ensemble, random_ensemble
 
 
 class TestGAConfig:
@@ -430,6 +430,21 @@ class TestRunGA:
         result = run_ga(one_hot_pair, GAConfig(generations=1, seed=123))
         majority = nll(fuse_majority(one_hot_pair), one_hot_pair.label_array)
         assert result.full_data_nll <= majority + 1e-12
+
+    def test_baseline_wins_where_only_equal_weights_are_optimal(self):
+        # Two classifiers that mirror each other, so 0.5/0.5 is the unique
+        # optimum, at ln 2. On a 4-sample subsample the initial 0.5 row can
+        # lose and be mutated away, so only the final selection's baseline
+        # row keeps every seed at ln 2.
+        first, second = np.array([[0.9, 0.1]] * 20), np.array([[0.1, 0.9]] * 20)
+        inputs = build_ensemble([np.vstack((first, second)), np.vstack((second, first))], [0] * 40)
+        for seed in range(200):
+            config = GAConfig(
+                population_size=2, elite_fraction=1.0, extra_parent_fraction=0.5, mutation_rate=1.0,
+                generations=1, fitness_sample_fraction=0.1, seed=seed,
+            )
+            result = run_ga(inputs, config)
+            assert result.full_data_nll <= math.log(2) + 1e-12, seed
 
 
 # run_ga results recorded before population scoring was batched: the

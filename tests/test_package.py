@@ -163,6 +163,14 @@ class TestLazyImport:
         code = "import os, softvote.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert _python(["-c", code], **env) == f"{expected}\n"
 
+    def test_cli_import_loads_every_layer_module(self):
+        # perfbench/run.py imports softvote.cli alone, then its output checks and tracer read
+        # softvote.metrics and the other layers as attributes; a CLI that imported its layers
+        # only inside each command would fail the benchmark's operations.
+        code = "import json, sys, softvote.cli; print(json.dumps(sorted(sys.modules)))"
+        layers = ["core", "errors", "ga", "ingest", "metrics", "rng", "synthgen"]
+        assert {f"softvote.{name}" for name in layers} <= set(json.loads(_python(["-c", code])))
+
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="no /proc/self/status to count this process's threads"
     )
