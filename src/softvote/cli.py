@@ -2,12 +2,12 @@
 
 Every command is deterministic given its flags and seed. Diagnostics go to
 stderr; data goes to files or stdout. Exit codes: 0 success, 1 validation
-error, 2 I/O error.
+error, 2 I/O error. One boundary, ``_Command.invoke``, maps the errors to
+the codes, and every command of the group is built with it.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 from dataclasses import replace
@@ -28,11 +28,12 @@ from .errors import DimensionError, SoftvoteError
 import click
 
 
-def _handled(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Command(click.Command):
+    """A command whose callback exits 1 on a SoftvoteError and 2 on an OSError; click's parsing runs before it."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except SoftvoteError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
@@ -40,7 +41,9 @@ def _handled(fn):
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(2)
 
-    return wrapper
+
+class _Group(click.Group):
+    command_class = _Command  # what ``@cli.command`` builds, so every command has the boundary
 
 
 def _emit(chunks: Iterable[str], out: str) -> None:
@@ -82,7 +85,7 @@ def _load_for_subset(
     return manifest, ingest.load_ensemble(manifest, Path(manifest_path).parent), weights
 
 
-@click.group()
+@click.group(cls=_Group)
 def cli() -> None:
     """Fuse class-probability outputs of several classifiers into one decision."""
 
@@ -92,7 +95,6 @@ def cli() -> None:
 @click.option("--weights", "weights_path", default=None, help="Weights JSON; omit for majority fusion.")
 @click.option("--subset", default=None, help="Comma-separated classifier names to fuse.")
 @click.option("--out", default="-", help="Output CSV path, or - for stdout.")
-@_handled
 def fuse_cmd(manifest_path: str, weights_path: str | None, subset: str | None, out: str) -> None:
     """Write per-sample fused distributions plus a predicted-class column."""
     _, inputs, weights = _load_for_subset(manifest_path, subset, weights_path)
@@ -105,7 +107,6 @@ def fuse_cmd(manifest_path: str, weights_path: str | None, subset: str | None, o
 @click.option("--config", "config_path", default=None, help="GA config JSON (all keys optional).")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", required=True, help="Where to write the weights JSON.")
-@_handled
 def search_weights_cmd(manifest_path: str, config_path: str | None, seed: int | None, out: str) -> None:
     """Learn per-classifier fusion weights with the genetic search."""
     config = ingest.read_ga_config(config_path) if config_path else ga.GAConfig()
@@ -131,7 +132,6 @@ def search_weights_cmd(manifest_path: str, config_path: str | None, seed: int | 
 @click.option("--subset", default=None, help="Comma-separated classifier names to fuse.")
 @click.option("--out", default="-", help="Output path, or - for stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
-@_handled
 def evaluate_cmd(
     manifest_path: str, weights_path: str | None, subset: str | None, out: str, fmt: str
 ) -> None:
@@ -147,7 +147,6 @@ def evaluate_cmd(
 @cli.command("simulate")
 @click.option("--config", "config_path", required=True, help="Generator spec JSON.")
 @click.option("--out", "out_dir", required=True, help="Directory for the generated bundle.")
-@_handled
 def simulate_cmd(config_path: str, out_dir: str) -> None:
     """Materialize a synthetic ensemble: prediction CSVs, labels, manifest."""
     spec = ingest.read_generator_spec(config_path)
@@ -161,7 +160,6 @@ def simulate_cmd(config_path: str, out_dir: str) -> None:
 @click.option("--manifest", "manifest_path", default=None, help="Manifest JSON supplying class names.")
 @click.option("--out", default="-", help="Output path, or - for stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
-@_handled
 def report_cmd(report_path: str, manifest_path: str | None, out: str, fmt: str) -> None:
     """Render a stored evaluation report."""
     report = ingest.read_report(report_path)

@@ -75,7 +75,6 @@ def _first_duplicate(ids: Sequence[str]) -> str | None:
         if sid in seen:
             return sid
         seen.add(sid)
-    return None
 
 
 def _first_invalid_row(probs: np.ndarray) -> tuple[int, str] | None:

@@ -133,6 +133,13 @@ def _posture_names(num_classes: int) -> tuple[str, ...] | None:
     return DEFAULT_CLASS_NAMES if num_classes == len(DEFAULT_CLASS_NAMES) else None
 
 
+def _path_string(value, what: str) -> str:
+    """``value``, a ``str`` without NUL, which no file path holds; anything else is a ValidationError."""
+    if "\0" in _string(value, what):
+        raise ValidationError(f"{what} must not hold a NUL character, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     name: str
@@ -140,7 +147,7 @@ class ManifestEntry:
 
     def __post_init__(self) -> None:
         _string(self.name, "name")
-        _string(self.path, "path")
+        _path_string(self.path, "path")
 
 
 @dataclass(frozen=True)
@@ -154,7 +161,7 @@ class Manifest:
         object.__setattr__(self, "num_classes", _integer(self.num_classes, "num_classes", low=1))
         object.__setattr__(self, "class_names", _strings(self.class_names, "class_names"))
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
-        _string(self.labels_path, "labels_path")
+        _path_string(self.labels_path, "labels_path")
         if len(self.class_names) != self.num_classes:
             count = _shown(self.num_classes)
             raise ValidationError(f"class_names lists {len(self.class_names)} names for {count} classes")
@@ -200,15 +207,15 @@ def _record_blocks(path: Path, text: str, size: int):
     """Split CSV text into lists of at most ``size`` records, as csv.reader does.
 
     A blank line is the record ``[]``. Text with no quote and one kind of
-    line end (LF, CRLF or CR) is split with ``str.split``, a block
-    of lines at a time, where csv.reader would split it: at every comma
-    and every line end. Other text, such as text that mixes line ends,
-    goes through csv.reader, which ends a row at each of CRLF, CR and LF
-    as ``open(newline="")`` does. A cell over the csv field limit, like any
-    csv.reader error, is a FormatError raised after the records before the
-    bad one are yielded.
+    line end (LF, CRLF or CR) is split with ``str.split``, a block of
+    lines at a time, where csv.reader would split it: at every comma and
+    every line end. From its first block with a line over the csv field
+    limit, and for other text, such as text that mixes line ends,
+    csv.reader reads on: it ends a row at each of CRLF, CR and LF as
+    ``open(newline="")`` does, and checks the limit. Its error is a
+    FormatError raised after the records before the bad one are yielded.
     """
-    done = 0
+    done = start = 0
     newline = "\r" if "\n" not in text else "\n" if "\r" not in text else "\r\n"
     if newline == "\r\n" and not text.count("\r") == text.count("\n") == text.count("\r\n"):
         newline = None  # a CR or an LF stands alone
@@ -219,17 +226,15 @@ def _record_blocks(path: Path, text: str, size: int):
             for _ in range(size):
                 end = text.find(last, end) + 1 or len(text)
             lines = text[start:end].removesuffix(newline).split(newline)
-            block = [line.split(",") if line else [] for line in lines]
-            for n, record in enumerate(block if max(map(len, lines)) > limit else []):
-                if max(map(len, record), default=0) > limit:
-                    yield block[:n]
-                    raise FormatError(f"{path}: row {done + n + 1}: field larger than field limit ({limit})")
-            yield block
-            done += len(block)
-        return
+            if max(map(len, lines)) > limit:
+                break
+            yield [line.split(",") if line else [] for line in lines]
+            done += len(lines)
+        else:
+            return
     block: list[list[str]] = []
     try:
-        for record in csv.reader(io.StringIO(text, newline="")):
+        for record in csv.reader(io.StringIO(text[start:], newline="")):
             block.append(record)
             if len(block) == size:
                 yield block
@@ -624,11 +629,15 @@ def _typed(value, schema, path: str | Path, what: str, key: str = ""):
     if schema is str:
         if not isinstance(value, str):
             raise FormatError(f"{path}: {key} must be a string, got {value!r}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:  # json decodes an escaped lone surrogate such as "\ud800"
+            raise FormatError(f"{path}: {key} must be Unicode text, got {value!r}") from None
         return value
     return _number(value, key, schema, path)
 
 
-def _built(path: str | Path, where: str, build: Callable, **values):
+def _built(path: str | Path, where: str, build: Callable, /, **values):
     """``build(**values)``; a ValidationError it raises keeps its class and gains ``"{path}: {where}"``."""
     try:
         return build(**values)
@@ -646,7 +655,7 @@ _MANIFEST_SCHEMA = {
 
 def read_manifest(path: str | Path) -> Manifest:
     data = _typed(_load_json(path), _MANIFEST_SCHEMA, path, "manifest")
-    entries = [ManifestEntry(**entry) for entry in data.pop("classifiers")]
+    entries = [_built(path, f"classifiers[{i}].", ManifestEntry, **e) for i, e in enumerate(data.pop("classifiers"))]
     return _built(path, "", Manifest, classifiers=entries, labels_path=data.pop("labels"), **data)
 
 

@@ -130,8 +130,7 @@ def _population_nll(genes: np.ndarray, true_probs: np.ndarray) -> np.ndarray:
         acc = _weighted_fusion(weights, true_probs, totals[start:stop, None], *scratch[:, : stop - start])
         out[start:stop] = _mean_nll(acc)
     out[degenerate] = np.inf
-    # numpy 2.0.0 shapes the inverse like the input; keep it flat.
-    return out[inverse.reshape(-1)]
+    return out[inverse]
 
 
 def accuracy(fused: np.ndarray, labels: LabeledSamples | Sequence[int] | np.ndarray) -> float:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -33,6 +34,7 @@ from softvote import (
 )
 from softvote import ingest, synthgen
 from softvote.cli import cli
+from softvote.errors import SoftvoteError
 
 GEN_SPEC = {
     "num_classes": 10,
@@ -670,6 +672,27 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert result.stderr == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
 
+    @pytest.mark.parametrize(
+        "error, code, line", [(SoftvoteError("bad"), 1, "error: bad"), (OSError("gone"), 2, "i/o error: gone")]
+    )
+    @pytest.mark.parametrize("name", sorted(cli.commands))
+    def test_every_command_maps_its_errors_to_an_exit_code(self, monkeypatch, capsys, name, error, code, line):
+        # Run as perfbench's in-process runner runs a command: the exit must be a SystemExit.
+        command = cli.commands[name]
+
+        def fail(**params):
+            raise error
+
+        monkeypatch.setattr(command, "callback", fail)
+        args = [name]
+        for param in command.params:
+            if param.required:
+                args += [param.opts[0], "x"] if isinstance(param, click.Option) else ["x"]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(args=args, prog_name="softvote", standalone_mode=False)
+        assert exit_info.value.code == code
+        assert capsys.readouterr().err == line + "\n"
+
     def test_corrupt_predictions_is_validation_error(self, bundle, tmp_path, runner):
         manifest = json.loads(bundle.read_text(encoding="utf-8"))
         victim = bundle.parent / manifest["classifiers"][0]["path"]
@@ -882,6 +905,44 @@ class TestMalformedInputsExitOne:
         assert result.exit_code == 1
         assert result.stderr == f"error: {bundle}: classifiers[1].name must be a string, got None\n"
 
+    @pytest.mark.parametrize(
+        "kind, where, value, key",
+        [
+            ("manifest", ["labels"], "lab\0els.csv", "labels_path"),
+            ("manifest", ["classifiers", 0, "path"], "str\0ong.csv", "classifiers[0].path"),
+            ("spec", ["classifiers", 0, "name"], "\ud800", "classifiers[0].name"),
+            ("manifest", ["classifiers", 0, "name"], "\ud800", "classifiers[0].name"),
+            ("manifest", ["class_names", 3], "\ud800", "class_names[3]"),
+            ("manifest", ["classifiers", 0, "path"], "\ud800.csv", "classifiers[0].path"),
+            ("report", ["classifier_names", 1], "\ud800", "classifier_names[1]"),
+        ],
+        ids=["nul-labels", "nul-path", "surrogate-spec-name", "surrogate-name", "surrogate-class-name",
+             "surrogate-path", "surrogate-report-name"],
+    )
+    def test_a_string_no_file_can_hold_is_refused_and_named(self, bundle, tmp_path, runner, kind, where, value, key):
+        # json decodes the escape "\ud800" to a lone surrogate, which UTF-8
+        # cannot encode; a file path cannot hold a NUL.
+        report, sim = tmp_path / "report.json", tmp_path / "sim"
+        args = ["evaluate", "--manifest", str(bundle), "--format", "json", "--out", str(report)]
+        assert runner.invoke(cli, args).exit_code == 0
+        file = {"manifest": bundle, "spec": tmp_path / "gen.json", "report": report}[kind]
+        doc = json.loads(file.read_text(encoding="utf-8"))
+        _at(doc, where[:-1])[where[-1]] = value
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        commands = {
+            "manifest": [[c, "--manifest", str(bundle)] for c in ("evaluate", "fuse")]
+            + [["search-weights", "--manifest", str(bundle), "--out", str(tmp_path / "w.json")]],
+            "spec": [["simulate", "--config", str(file), "--out", str(sim)]],
+            "report": [["report", str(report)]],
+        }[kind]
+        for args in commands:
+            result = runner.invoke(cli, args)
+            assert isinstance(result.exception, SystemExit), result.exc_info
+            assert result.exit_code == 1, (args, result.output)
+            assert result.stderr.startswith(f"error: {file}: {key} must ")
+            assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.output
+        assert not sim.exists()
+
     def test_manifest_that_is_not_utf8(self, bundle, runner):
         bundle.write_bytes(bundle.read_bytes().replace(b'"labels.csv"', b'"labels\xff.csv"'))
         result = runner.invoke(cli, ["evaluate", "--manifest", str(bundle)])
@@ -988,7 +1049,8 @@ class TestSubprocess:
 # Values a fuzzed JSON document gets in place of one of its values, or under
 # an extra key; each draw is a fresh copy.
 FUZZ_VALUES = st.sampled_from(
-    [None, True, False, "x", "", [], [0.5], {}, {"k": 1}, float("nan"), float("inf"), float("-inf"), 1e308, 10**30]
+    [None, True, False, "x", "", "\ud800", "a\x00b", [], [0.5], {}, {"k": 1}, float("nan"), float("inf"),
+     float("-inf"), 1e308, 10**30]
 ).map(copy.deepcopy)
 
 

@@ -15,6 +15,7 @@ sample-id tuple.
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -384,6 +385,27 @@ class TestUnreadableText:
         p = _write(tmp_path, f"{header}\na,1.0{',0.0' * (c - 1)}\n")
         assert len(p.read_text(encoding="utf-8").splitlines()[1]) > csv.field_size_limit()
         assert load_predictions(p, c).probs[0, :2].tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_records_and_error_past_a_line_over_the_limit_are_csv_readers(self, size, newline):
+        # Row 3 is over the limit in short cells, row 5 in one cell.
+        text = newline.join(["a,b", "", "c," + "x" * 10 + "," + "y" * 10, "d,e", "f," + "z" * 21, "g,h", ""])
+        old = csv.field_size_limit(20)
+        try:
+            expected = []
+            with pytest.raises(csv.Error) as csv_error:
+                for record in csv.reader(io.StringIO(text, newline="")):
+                    expected.append(record)
+            got = []
+            with pytest.raises(FormatError) as error:
+                for block in ingest._record_blocks(Path("x.csv"), text, size):
+                    assert len(block) <= size
+                    got.extend(block)
+        finally:
+            csv.field_size_limit(old)
+        assert got == expected == [["a", "b"], [], ["c", "x" * 10, "y" * 10], ["d", "e"]]
+        assert str(error.value) == f"x.csv: row 5: {csv_error.value}"
 
 
 PREDICTIONS = "sample_id,p0,p1\na1,0.5,0.5\nb2,0.25,0.75\n"

@@ -301,6 +301,7 @@ class TestManifestLoading:
             ({"class_names": (7,)}, "class_names[0] must be a string, got 7"),
             ({"class_names": "a"}, "class_names must be a sequence of strings, got 'a'"),
             ({"labels_path": None}, "labels_path must be a string, got None"),
+            ({"labels_path": "l\0.csv"}, "labels_path must not hold a NUL character, got 'l\\x00.csv'"),
             ({"num_classes": True}, "num_classes must be an integer, got True"),
             ({"num_classes": 10**5000}, "class_names lists 1 names for an integer of 16610 bits classes"),
         ],
@@ -312,7 +313,12 @@ class TestManifestLoading:
         assert (type(info.value), str(info.value)) == (ValidationError, message)
 
     @pytest.mark.parametrize(
-        "name, path, message", [(7, 3, "name must be a string, got 7"), ("a", 3, "path must be a string, got 3")]
+        "name, path, message",
+        [
+            (7, 3, "name must be a string, got 7"),
+            ("a", 3, "path must be a string, got 3"),
+            ("a", "a\0.csv", "path must not hold a NUL character, got 'a\\x00.csv'"),
+        ],
     )
     def test_manifest_entry_takes_only_strings(self, name, path, message):
         with pytest.raises(ValidationError) as info:
