@@ -77,6 +77,39 @@ def _first_duplicate(ids: Sequence[str]) -> str | None:
         seen.add(sid)
 
 
+def _classifier_names(names: Sequence[str], error: type[ValidationError] = ValidationError) -> None:
+    """Refuse, as ``error``, a list of classifier names that is empty or names one twice."""
+    if not names:
+        raise error("classifiers must list at least one classifier")
+    dup = _first_duplicate(names)
+    if dup is not None:
+        raise error(f"duplicate classifier name '{dup}'")
+
+
+def _file_classifier_name(name, error: type[ValidationError] = ValidationError) -> str:
+    """``name``, a classifier's name in a file, which ``--subset`` can pick.
+
+    That is a non-empty ``str`` with no comma and no whitespace at either
+    end, since ``--subset`` splits at commas and strips each name; anything
+    else is ``error``.
+    """
+    if not isinstance(name, str) or not name:
+        raise error(f"name must be a non-empty string, got {_shown(name)}")
+    if "," in name or name.strip() != name:
+        raise error(f"name must hold no comma and no whitespace at either end, got {_shown(name)}")
+    return name
+
+
+def _label_array(values) -> np.ndarray:
+    """``values`` as a new 1-D int64 array; a non-empty array of other than integers is refused, never cast."""
+    labels = np.asarray(values)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValidationError(f"labels must be integers, got {labels.dtype.name} values")
+    if labels.ndim != 1:
+        raise DimensionError(f"labels must be 1-D, got shape {labels.shape}")
+    return labels.astype(np.int64)
+
+
 def _first_invalid_row(probs: np.ndarray) -> tuple[int, str] | None:
     """The first row of an (S, C) matrix that is not a distribution, and why.
 
@@ -173,16 +206,19 @@ class PredictionSet:
 
 @dataclass(frozen=True, eq=False)
 class LabeledSamples:
-    """Ground-truth class indices keyed by unique ``str`` sample ids, in a fixed order."""
+    """Ground-truth class indices keyed by unique ``str`` sample ids, in a fixed order.
+
+    ``labels`` must be a 1-D array of non-negative integers of any integer
+    dtype, stored as a new int64 array; a bool, float or text array is
+    refused, not cast (see :func:`_label_array`, which the metrics share).
+    """
 
     sample_ids: tuple[str, ...]
     labels: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sample_ids", _strings(self.sample_ids, "labels: sample_ids"))
-        labels = np.array(self.labels, dtype=np.int64)
-        if labels.ndim != 1:
-            raise DimensionError(f"labels must be 1-D, got shape {labels.shape}")
+        labels = _label_array(self.labels)
         if labels.shape[0] != len(self.sample_ids):
             raise DimensionError(
                 f"{len(self.sample_ids)} sample ids for {labels.shape[0]} labels"
@@ -202,8 +238,10 @@ class LabeledSamples:
 class EnsembleInputs:
     """N aligned prediction sets plus ground truth for their samples.
 
-    Classifier names must be distinct (``subset`` picks by name), and all
-    prediction sets must share the class count and the exact sample id
+    There must be at least one classifier, and the names must be distinct
+    (``subset`` picks by name; see :func:`_classifier_names`). Any ``str``
+    is a name here, since ``subset`` takes a list, not ``--subset``'s text.
+    All prediction sets must share the class count and the exact sample id
     sequence; every sample id must carry a label. Construction fails loudly
     on the first divergence instead of reordering or joining classifiers.
     ``labels`` holds the labels of the classifiers' samples in their row
@@ -217,11 +255,7 @@ class EnsembleInputs:
     def __post_init__(self) -> None:
         classifiers = tuple(self.classifiers)
         object.__setattr__(self, "classifiers", classifiers)
-        if not classifiers:
-            raise ValidationError("ensemble needs at least one classifier")
-        dup = _first_duplicate(self.classifier_names)
-        if dup is not None:
-            raise ValidationError(f"duplicate classifier name '{dup}'")
+        _classifier_names(self.classifier_names)
         ref = classifiers[0]
         for ps in classifiers[1:]:
             if ps.num_classes != ref.num_classes:

@@ -97,7 +97,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import EnsembleInputs, LabeledSamples, PredictionSet, as_weights
-from .core import _first_duplicate, _first_invalid_row, _string, _strings
+from .core import _classifier_names, _file_classifier_name, _first_duplicate, _first_invalid_row, _string, _strings
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -142,11 +142,13 @@ def _path_string(value, what: str) -> str:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """A manifest's classifier: a name that ``--subset`` can pick (see ``core._file_classifier_name``) and its CSV path."""
+
     name: str
     path: str
 
     def __post_init__(self) -> None:
-        _string(self.name, "name")
+        _file_classifier_name(_string(self.name, "name"))
         _path_string(self.path, "path")
 
 
@@ -165,11 +167,7 @@ class Manifest:
         if len(self.class_names) != self.num_classes:
             count = _shown(self.num_classes)
             raise ValidationError(f"class_names lists {len(self.class_names)} names for {count} classes")
-        if not self.classifiers:
-            raise ValidationError("classifiers must list at least one classifier")
-        dup = _first_duplicate([entry.name for entry in self.classifiers])
-        if dup is not None:
-            raise ValidationError(f"duplicate classifier name '{dup}'")
+        _classifier_names([entry.name for entry in self.classifiers])
 
 
 @dataclass(frozen=True)

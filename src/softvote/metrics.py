@@ -28,6 +28,7 @@ from .core import (
     _WEIGHT_SUM_FLOOR,
     _frozen,
     _fused_matrix,
+    _label_array,
     _strings,
     _weighted_fusion,
     argmax_classes,
@@ -50,18 +51,9 @@ NLL_EPSILON = 1e-15
 _SCORE_BLOCK_CELLS = 1 << 16
 
 
-def _as_labels(labels: LabeledSamples | Sequence[int] | np.ndarray) -> np.ndarray:
-    if isinstance(labels, LabeledSamples):
-        return labels.labels
-    y = np.asarray(labels, dtype=np.int64)
-    if y.ndim != 1:
-        raise DimensionError(f"labels must be 1-D, got shape {y.shape}")
-    return y
-
-
 def _check_pair(fused: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     f = _fused_matrix(fused)
-    y = _as_labels(labels)
+    y = _label_array(labels.labels if isinstance(labels, LabeledSamples) else labels)
     if f.shape[0] == 0:
         raise EmptyInputError("need at least one sample")
     if y.shape[0] != f.shape[0]:

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import metrics
-from .core import EnsembleInputs, LabeledSamples, PredictionSet, _first_duplicate
+from .core import EnsembleInputs, LabeledSamples, PredictionSet, _classifier_names, _file_classifier_name
 from .errors import ConfigError, OracleScopeError, ValidationError, _integer, _real, _shown
 from .ga import MAX_POPULATION_SIZE
 from .rng import check_seed, make_rng
@@ -42,8 +42,7 @@ class ClassifierProfile:
     sharpness: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ConfigError(f"name must be a non-empty string, got {_shown(self.name)}")
+        _file_classifier_name(self.name, ConfigError)
         _real(self.accuracy, "accuracy", ConfigError, 0, 1, "(]")
         _real(self.sharpness, "sharpness", ConfigError, 0)
         # inf gives one-hot rows; a finite value past the float range would
@@ -63,14 +62,10 @@ class GeneratorSpec:
         object.__setattr__(self, "profiles", tuple(self.profiles))
         for name, high in (("num_classes", MAX_NUM_CLASSES), ("num_samples", MAX_NUM_SAMPLES)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError, 1, high))
-        if not self.profiles:
-            raise ConfigError("classifiers must list at least one profile")
         bad = next((p for p in self.profiles if not isinstance(p, ClassifierProfile)), None)
         if bad is not None:
             raise ConfigError(f"profiles must be ClassifierProfile values, got {_shown(bad)}")
-        dup = _first_duplicate([p.name for p in self.profiles])
-        if dup is not None:
-            raise ConfigError(f"duplicate classifier name '{dup}'")
+        _classifier_names([p.name for p in self.profiles], ConfigError)
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 

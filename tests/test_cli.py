@@ -166,6 +166,18 @@ class TestSimulate:
         assert result.stderr == "error: classifier file name clash: labels.csv\n"
         assert not out_dir.exists()
 
+    def test_a_name_subset_cannot_pick_writes_no_bundle(self, tmp_path, runner):
+        # --subset splits at commas, so it could never select this classifier.
+        spec = dict(GEN_SPEC, classifiers=[dict(GEN_SPEC["classifiers"][0], name="a,b")])
+        spec_path = tmp_path / "gen.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        result = runner.invoke(cli, ["simulate", "--config", str(spec_path), "--out", str(out_dir)])
+        assert result.exit_code == 1
+        message = "classifiers[0].name must hold no comma and no whitespace at either end, got 'a,b'"
+        assert result.stderr == f"error: {spec_path}: {message}\n"
+        assert not out_dir.exists()
+
 
 @pytest.mark.parametrize(
     "where, expected",

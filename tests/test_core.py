@@ -16,6 +16,7 @@ from softvote import (
     LabeledSamples,
     PredictionSet,
     ValidationError,
+    accuracy,
     argmax_class,
     argmax_classes,
     as_weights,
@@ -114,7 +115,7 @@ class TestEnsembleInputs:
 
     def test_needs_one_classifier(self):
         # The weight search relies on this: its steps assume one gene or more.
-        with pytest.raises(ValidationError, match="^ensemble needs at least one classifier$"):
+        with pytest.raises(ValidationError, match="^classifiers must list at least one classifier$"):
             EnsembleInputs((), LabeledSamples(("x",), [0]))
 
     def test_label_array_follows_row_order(self):
@@ -409,6 +410,15 @@ def test_as_weights_returns_frozen_copy():
         as_weights([[1.0, 2.0]], 2)
 
 
+def test_labels_accept_an_empty_list_and_any_integer_dtype():
+    assert LabeledSamples((), []).labels.dtype == np.int64
+    given = np.array([0, 1], dtype=np.uint8)
+    labels = LabeledSamples(("a", "b"), given)
+    assert (labels.labels.dtype, labels.labels.tolist()) == (np.int64, [0, 1])
+    assert given.flags.writeable  # the stored copy is frozen, not the caller's array
+    assert nll(np.eye(2), given) == nll(np.eye(2), [0, 1])
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -423,6 +433,9 @@ def test_as_weights_returns_frozen_copy():
         (lambda: PredictionSet("m", (), np.empty((0, 0))), DimensionError, "m: need at least one class column"),
         (lambda: LabeledSamples(("a",), [[0]]), DimensionError, "labels must be 1-D, got shape (1, 1)"),
         (lambda: LabeledSamples(("a",), [-1]), LabelRangeError, "labels must be non-negative"),
+        (lambda: LabeledSamples(("a", "b"), [1.7, 0.2]), ValidationError, "labels must be integers, got float64 values"),
+        (lambda: LabeledSamples(("a",), [True]), ValidationError, "labels must be integers, got bool values"),
+        (lambda: LabeledSamples(("a",), ["1"]), ValidationError, "labels must be integers, got str32 values"),
         (
             lambda: build_ensemble([[[1.0]]], [0]).subset([]),
             ValidationError,
@@ -436,6 +449,13 @@ def test_as_weights_returns_frozen_copy():
             "labels must lie in [0, 2)",
         ),
         (lambda: nll(np.full((1, 2), 0.5), [[0]]), DimensionError, "labels must be 1-D, got shape (1, 1)"),
+        (lambda: nll(np.full((1, 2), 0.5), [0.9]), ValidationError, "labels must be integers, got float64 values"),
+        (lambda: accuracy(np.full((1, 2), 0.5), [1.9]), ValidationError, "labels must be integers, got float64 values"),
+        (
+            lambda: confusion_matrix(np.full((1, 2), 0.5), [0.5], 2),
+            ValidationError,
+            "labels must be integers, got float64 values",
+        ),
         (
             lambda: confusion_matrix(np.full((1, 2), 0.5), [0], 0),
             DimensionError,
@@ -454,11 +474,17 @@ def test_as_weights_returns_frozen_copy():
         "no-class-column",
         "labels-2d",
         "labels-negative",
+        "labels-float",
+        "labels-bool",
+        "labels-text",
         "subset-empty",
         "argmax-vector",
         "nll-vector",
         "nll-labeled-samples-range",
         "nll-labels-2d",
+        "nll-labels-float",
+        "accuracy-labels-float",
+        "confusion-labels-float",
         "confusion-no-classes",
     ],
 )

@@ -776,7 +776,7 @@ class TestTypedJsonFields:
                 "num_samples must be in [1, 1000000], got 1000000000000",
             ),
             (read_generator_spec, {"seed": 2**64}, ConfigError, f"seed must be in [0, 2**64), got {2**64}"),
-            (read_generator_spec, {"classifiers": []}, ConfigError, "classifiers must list at least one profile"),
+            (read_generator_spec, {"classifiers": []}, ConfigError, "classifiers must list at least one classifier"),
             (
                 read_generator_spec,
                 {"classifiers": [{"name": "", "accuracy": 0.9, "sharpness": 2.0}]},
@@ -834,6 +834,42 @@ class TestTypedJsonFields:
                 {"elite_fraction": 10**400},
                 ConfigError,
                 f"bad GA config: elite_fraction must be in (0, 1], got {10**400}",
+            ),
+            (
+                read_manifest,
+                {"classifiers": [{"name": "a,b", "path": "m.csv"}]},
+                ValidationError,
+                "classifiers[0].name must hold no comma and no whitespace at either end, got 'a,b'",
+            ),
+            (
+                read_manifest,
+                {"classifiers": [{"name": " a", "path": "m.csv"}]},
+                ValidationError,
+                "classifiers[0].name must hold no comma and no whitespace at either end, got ' a'",
+            ),
+            (
+                read_manifest,
+                {"classifiers": [{"name": "a ", "path": "m.csv"}]},
+                ValidationError,
+                "classifiers[0].name must hold no comma and no whitespace at either end, got 'a '",
+            ),
+            (
+                read_manifest,
+                {"classifiers": [{"name": "", "path": "m.csv"}]},
+                ValidationError,
+                "classifiers[0].name must be a non-empty string, got ''",
+            ),
+            (
+                read_generator_spec,
+                {"classifiers": [{"name": "a,b", "accuracy": 0.9, "sharpness": 2.0}]},
+                ConfigError,
+                "classifiers[0].name must hold no comma and no whitespace at either end, got 'a,b'",
+            ),
+            (
+                read_generator_spec,
+                {"classifiers": [{"name": " a", "accuracy": 0.9, "sharpness": 2.0}]},
+                ConfigError,
+                "classifiers[0].name must hold no comma and no whitespace at either end, got ' a'",
             ),
         ],
     )
