@@ -100,14 +100,29 @@ def _file_classifier_name(name, error: type[ValidationError] = ValidationError) 
     return name
 
 
-def _label_array(values) -> np.ndarray:
-    """``values`` as a new 1-D int64 array; a non-empty array of other than integers is refused, never cast."""
-    labels = np.asarray(values)
-    if labels.size and labels.dtype.kind not in "iu":
-        raise ValidationError(f"labels must be integers, got {labels.dtype.name} values")
-    if labels.ndim != 1:
-        raise DimensionError(f"labels must be 1-D, got shape {labels.shape}")
-    return labels.astype(np.int64)
+def _numbers(values, name: str, ndim: int, dtype: type = np.float64, copy: bool = False) -> np.ndarray:
+    """``values`` as an ``ndim``-D int64 or float64 array: the array rule, as ``errors._real`` is the number rule.
+
+    Ragged nesting is a DimensionError. A non-empty array whose dtype is
+    not integers (or, for float64, floats) is a ValidationError, so bool,
+    text, object and complex input is refused, never cast. A uint64 label
+    that int64 cannot hold is a LabelRangeError. With ``copy`` the result
+    is new; without it, an ndarray of ``dtype`` is returned uncopied.
+    """
+    try:
+        array = (np.array if copy else np.asarray)(values)
+    except ValueError:  # numpy's text for ragged nesting names no argument
+        raise DimensionError(f"{name} must not be ragged") from None
+    kinds, wanted = ("iu", "integers") if dtype is np.int64 else ("iuf", "real numbers")
+    if array.size and array.dtype.kind not in kinds:
+        raise ValidationError(f"{name} must be {wanted}, got {array.dtype.name} values")
+    if array.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {array.shape}")
+    if dtype is np.int64 and array.dtype == np.uint64:
+        big = array > np.iinfo(np.int64).max
+        if big.any():
+            raise LabelRangeError(f"{name} must be below 2**63, got {array[big][0]}")
+    return array.astype(dtype, copy=False)
 
 
 def _first_invalid_row(probs: np.ndarray) -> tuple[int, str] | None:
@@ -163,11 +178,13 @@ def _subset_rows(names: Iterable[str], available: Sequence[str]) -> list[int]:
 class PredictionSet:
     """One classifier's per-sample class probabilities.
 
-    ``probs`` is an (S, C) float64 matrix. Every row must be a probability
-    distribution: entries in [0, 1] whose exact sum is 1 within
-    :data:`ROW_SUM_TOLERANCE` (see :func:`_first_invalid_row`, which the
-    CSV loader shares). The name and the sample ids must be ``str``, and
-    the ids unique.
+    ``probs`` is an (S, C) float64 matrix of real numbers: bool, text,
+    object, complex and ragged input is refused, not cast (see
+    :func:`_numbers`), though numpy reads a list mixing bools and floats as
+    floats. Every row must be a probability distribution: entries in
+    [0, 1] whose exact sum is 1 within :data:`ROW_SUM_TOLERANCE` (see
+    :func:`_first_invalid_row`, which the CSV loader shares). The name and
+    the sample ids must be ``str``, and the ids unique.
     """
 
     classifier_name: str
@@ -177,9 +194,7 @@ class PredictionSet:
     def __post_init__(self) -> None:
         name = _string(self.classifier_name, "classifier_name")
         object.__setattr__(self, "sample_ids", _strings(self.sample_ids, f"{name}: sample_ids"))
-        probs = np.array(self.probs, dtype=np.float64)
-        if probs.ndim != 2:
-            raise DimensionError(f"{name}: probabilities must be 2-D, got shape {probs.shape}")
+        probs = _numbers(self.probs, f"{name}: probabilities", 2, copy=True)
         if probs.shape[1] < 1:
             raise DimensionError(f"{name}: need at least one class column")
         if probs.shape[0] != len(self.sample_ids):
@@ -210,7 +225,7 @@ class LabeledSamples:
 
     ``labels`` must be a 1-D array of non-negative integers of any integer
     dtype, stored as a new int64 array; a bool, float or text array is
-    refused, not cast (see :func:`_label_array`, which the metrics share).
+    refused, not cast (see :func:`_numbers`, which the metrics share).
     """
 
     sample_ids: tuple[str, ...]
@@ -218,7 +233,7 @@ class LabeledSamples:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sample_ids", _strings(self.sample_ids, "labels: sample_ids"))
-        labels = _label_array(self.labels)
+        labels = _numbers(self.labels, "labels", 1, np.int64, copy=True)
         if labels.shape[0] != len(self.sample_ids):
             raise DimensionError(
                 f"{len(self.sample_ids)} sample ids for {labels.shape[0]} labels"
@@ -342,10 +357,13 @@ class EnsembleInputs:
 
 
 def as_weights(weights: Sequence[float] | np.ndarray, n_classifiers: int) -> np.ndarray:
-    """Validate one weight per classifier: finite, non-negative, a finite sum above :data:`_WEIGHT_SUM_FLOOR`."""
-    w = np.array(weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise DimensionError(f"weights must be 1-D, got shape {w.shape}")
+    """Validate one weight per classifier: finite, non-negative, a finite sum above :data:`_WEIGHT_SUM_FLOOR`.
+
+    Real numbers only, as for ``PredictionSet.probs``: bool, text, object,
+    complex and ragged input is refused, though numpy reads a list mixing
+    bools and floats as floats.
+    """
+    w = _numbers(weights, "weights", 1, copy=True)
     if w.shape[0] != n_classifiers:
         raise DimensionError(f"expected {n_classifiers} weights, got {w.shape[0]}")
     if np.any(~np.isfinite(w)):
@@ -393,17 +411,17 @@ def _weighted_fusion(weights, arrays, total, out=None, term=None) -> np.ndarray:
 
 def argmax_class(distribution: Sequence[float] | np.ndarray) -> int:
     """Index of the largest probability; ties break to the lowest index."""
-    d = np.asarray(distribution, dtype=np.float64)
-    if d.ndim != 1 or d.size == 0:
-        raise DimensionError("distribution must be a non-empty 1-D vector")
+    d = _numbers(distribution, "distribution", 1)
+    if d.size == 0:
+        raise DimensionError("distribution must not be empty")
     return int(np.argmax(d))
 
 
 def _fused_matrix(fused) -> np.ndarray:
     """``fused`` as a float64 array, which must be an (S, C) matrix with C >= 1."""
-    f = np.asarray(fused, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] == 0:
-        raise DimensionError("fused distributions must form an (S, C) matrix")
+    f = _numbers(fused, "fused", 2)
+    if f.shape[1] == 0:
+        raise DimensionError("fused must have at least one class column")
     return f
 
 

@@ -727,15 +727,8 @@ _REPORT_SCHEMA = {
 }
 
 
-def _report(confusion: list[list[float]], **values) -> EvaluationReport:
-    # np.array rejects ragged rows with a ValueError that names nothing.
-    if len(set(map(len, confusion))) > 1:
-        raise FormatError("confusion rows must all have the same length")
-    return EvaluationReport(confusion=np.array(confusion, dtype=np.float64), **values)
-
-
 def read_report(path: str | Path) -> EvaluationReport:
-    return _built(path, "", _report, **_typed(_load_json(path), _REPORT_SCHEMA, path, "report"))
+    return _built(path, "", EvaluationReport, **_typed(_load_json(path), _REPORT_SCHEMA, path, "report"))
 
 
 def report_to_json(report: EvaluationReport) -> str:
@@ -751,10 +744,10 @@ def render_report_table(report: EvaluationReport, class_names: Sequence[str] | N
     footnoted.
     """
     c = report.num_classes
-    if class_names is not None and len(class_names) != c:
-        raise ValidationError(
-            f"{len(class_names)} class names for {c} classes"
-        )
+    if class_names is not None:
+        class_names = _strings(class_names, "class_names")
+        if len(class_names) != c:
+            raise ValidationError(f"{len(class_names)} class names for {c} classes")
     empty = set(report.empty_classes)
     tags = [f"C{i}" for i in range(c)]
     cells = [

@@ -28,7 +28,7 @@ from .core import (
     _WEIGHT_SUM_FLOOR,
     _frozen,
     _fused_matrix,
-    _label_array,
+    _numbers,
     _strings,
     _weighted_fusion,
     argmax_classes,
@@ -53,7 +53,7 @@ _SCORE_BLOCK_CELLS = 1 << 16
 
 def _check_pair(fused: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     f = _fused_matrix(fused)
-    y = _label_array(labels.labels if isinstance(labels, LabeledSamples) else labels)
+    y = _numbers(labels.labels if isinstance(labels, LabeledSamples) else labels, "labels", 1, np.int64)
     if f.shape[0] == 0:
         raise EmptyInputError("need at least one sample")
     if y.shape[0] != f.shape[0]:
@@ -159,7 +159,13 @@ def confusion_matrix(
 
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    """One ensemble evaluation: loss, accuracy, and the confusion structure."""
+    """One ensemble evaluation: loss, accuracy, and the confusion structure.
+
+    ``confusion`` and ``per_class_accuracy`` take real numbers only, as
+    ``PredictionSet.probs`` does: bool, text, object, complex and ragged
+    input is refused, though numpy reads a list mixing bools and floats as
+    floats.
+    """
 
     nll: float
     accuracy_percent: float
@@ -170,19 +176,20 @@ class EvaluationReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classifier_names", _strings(self.classifier_names, "classifier_names"))
-        conf = np.array(self.confusion, dtype=np.float64)
-        if conf.ndim != 2 or conf.shape[0] != conf.shape[1] or conf.shape[0] == 0:
+        conf = _numbers(self.confusion, "confusion", 2, copy=True)
+        if conf.shape[0] != conf.shape[1] or conf.shape[0] == 0:
             raise DimensionError(f"confusion matrix must be square, got shape {conf.shape}")
-        per_class = np.array(self.per_class_accuracy, dtype=np.float64)
-        if per_class.shape != (conf.shape[0],):
+        per_class = _numbers(self.per_class_accuracy, "per_class_accuracy", 1, copy=True)
+        if per_class.shape != conf.shape[:1]:
             raise DimensionError("per_class_accuracy length must match the confusion matrix")
-        if not np.allclose(per_class, np.diagonal(conf), atol=1e-9, rtol=0.0):
-            raise ValidationError("per_class_accuracy must equal the confusion diagonal")
-        sums = conf.sum(axis=1)
+        with np.errstate(over="ignore"):  # huge entries: a difference or a sum overflows to inf, which fails
+            if not np.allclose(per_class, np.diagonal(conf), atol=1e-9, rtol=0.0):
+                raise ValidationError("per_class_accuracy must equal the confusion diagonal")
+            sums = conf.sum(axis=1)
         ok = (np.abs(sums - 100.0) <= 1e-6) | (sums == 0.0)
         if not np.all(ok):
             row = int(np.argmax(~ok))
-            raise ValidationError(f"confusion row {row} sums to {sums[row]!r}, want 100 or 0")
+            raise ValidationError(f"confusion row {row} sums to {float(sums[row])!r}, want 100 or 0")
         nonnegative, out_of = "{name} must be a non-negative real, got {value}", "{name} out of [0, 100]: {value}"
         loss = _real(self.nll, "nll", low=0, high=sys.float_info.max, message=nonnegative, one_message=True)
         percent = _real(self.accuracy_percent, "accuracy_percent", low=0, high=100, message=out_of, one_message=True)
@@ -219,7 +226,7 @@ def evaluate(
         nll=nll(fused, y),
         accuracy_percent=accuracy(fused, y),
         confusion=conf,
-        per_class_accuracy=np.diagonal(conf).copy(),
+        per_class_accuracy=np.diagonal(conf),
         classifier_names=inputs.classifier_names,
         sample_count=inputs.num_samples,
     )

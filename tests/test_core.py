@@ -11,10 +11,12 @@ from softvote import (
     DegenerateWeightsError,
     DimensionError,
     EnsembleInputs,
+    EvaluationReport,
     GAConfig,
     LabelRangeError,
     LabeledSamples,
     PredictionSet,
+    SoftvoteError,
     ValidationError,
     accuracy,
     argmax_class,
@@ -33,6 +35,7 @@ from softvote import (
     write_predictions,
 )
 from softvote.cli import cli
+from softvote.core import _fused_matrix, _numbers
 
 from conftest import build_ensemble, random_ensemble
 
@@ -419,6 +422,91 @@ def test_labels_accept_an_empty_list_and_any_integer_dtype():
     assert nll(np.eye(2), given) == nll(np.eye(2), [0, 1])
 
 
+def test_int_and_float_input_give_the_same_float64_arrays():
+    ints, floats = [[1, 0], [0, 1]], [[1.0, 0.0], [0.0, 1.0]]
+    pairs = [
+        (PredictionSet("m", ("a", "b"), ints).probs, PredictionSet("m", ("a", "b"), floats).probs),
+        (as_weights([1, 2], 2), as_weights([1.0, 2.0], 2)),
+        (
+            EvaluationReport(0.1, 100.0, [[100, 0], [0, 100]], [100, 100], ("a",), 2).confusion,
+            EvaluationReport(0.1, 100.0, [[100.0, 0.0], [0.0, 100.0]], [100.0, 100.0], ("a",), 2).confusion,
+        ),
+    ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert nll(np.array(ints, np.uint8), [0, 1]) == nll(floats, [0, 1])
+    assert argmax_class([1, 3, 2]) == argmax_class([1.0, 3.0, 2.0]) == 1
+    # Numpy reads a list mixing bools and floats as floats, so it passes the rule.
+    assert as_weights([True, 0.5], 2).tolist() == [1.0, 0.5]
+
+
+def test_the_array_rule_copies_a_float64_array_only_where_it_is_kept():
+    fused = np.full((2, 2), 0.5)
+    assert _fused_matrix(fused) is fused
+    labels = np.array([0, 1])
+    assert _numbers(labels, "labels", 1, np.int64) is labels
+    kept = PredictionSet("m", ("a", "b"), fused).probs
+    assert not np.shares_memory(kept, fused) and fused.flags.writeable
+
+
+_ITEMS = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.text(max_size=2),
+    st.binary(max_size=2),
+    st.none(),
+    st.complex_numbers(),
+)
+# Nested lists of mixed items, ragged or not, 0-d items among them, and the
+# arrays numpy builds from the ones it can.
+_NESTED = st.recursive(_ITEMS, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+
+
+def _as_given_or_array(value, as_array):
+    if not as_array:
+        return value
+    try:
+        return np.array(value)
+    except ValueError:
+        return value
+
+
+_ARRAY_INPUTS = st.builds(_as_given_or_array, _NESTED, st.booleans())
+
+
+class TestTheArrayRuleRaisesOnlyItsOwnErrors:
+    _ENTRY_POINTS = {
+        "PredictionSet": lambda v: PredictionSet("m", ("a",), v),
+        "LabeledSamples": lambda v: LabeledSamples(("a",), v),
+        "as_weights": lambda v: as_weights(v, 1),
+        "fuse_weighted": lambda v: fuse_weighted(build_ensemble([[[1.0]]], [0]), v),
+        "evaluate": lambda v: evaluate(build_ensemble([[[1.0]]], [0]), v),
+        "argmax_class": argmax_class,
+        "argmax_classes": argmax_classes,
+        "nll-fused": lambda v: nll(v, [0]),
+        "nll-labels": lambda v: nll([[1.0]], v),
+        "accuracy-fused": lambda v: accuracy(v, [0]),
+        "accuracy-labels": lambda v: accuracy([[1.0]], v),
+        "confusion_matrix-fused": lambda v: confusion_matrix(v, [0], 1),
+        "confusion_matrix-labels": lambda v: confusion_matrix([[1.0]], v, 1),
+        "EvaluationReport-confusion": lambda v: EvaluationReport(0.0, 0.0, v, [100.0], ("a",), 1),
+        "EvaluationReport-per_class_accuracy": lambda v: EvaluationReport(0.0, 0.0, [[100.0]], v, ("a",), 1),
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_ENTRY_POINTS)), _ARRAY_INPUTS)
+    @example("PredictionSet", [[1.0], [0.5, 0.5]])
+    @example("as_weights", [1 + 1j])
+    @example("nll-labels", np.array([2**63], np.uint64))
+    @example("EvaluationReport-confusion", [[True]])
+    def test_no_other_exception(self, entry_point, value):
+        try:
+            self._ENTRY_POINTS[entry_point](value)
+        except SoftvoteError:
+            pass
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -441,8 +529,8 @@ def test_labels_accept_an_empty_list_and_any_integer_dtype():
             ValidationError,
             "subset needs at least one classifier name",
         ),
-        (lambda: argmax_classes(np.ones(2)), DimensionError, "fused distributions must form an (S, C) matrix"),
-        (lambda: nll(np.ones(2), [0, 1]), DimensionError, "fused distributions must form an (S, C) matrix"),
+        (lambda: argmax_classes(np.ones(2)), DimensionError, "fused must be 2-D, got shape (2,)"),
+        (lambda: nll(np.ones(2), [0, 1]), DimensionError, "fused must be 2-D, got shape (2,)"),
         (
             lambda: nll(np.full((1, 2), 0.5), LabeledSamples(("a",), [2])),
             LabelRangeError,
@@ -460,6 +548,49 @@ def test_labels_accept_an_empty_list_and_any_integer_dtype():
             lambda: confusion_matrix(np.full((1, 2), 0.5), [0], 0),
             DimensionError,
             "num_classes must be >= 1",
+        ),
+        (
+            lambda: LabeledSamples(("a",), np.array([2**63], np.uint64)),
+            LabelRangeError,
+            "labels must be below 2**63, got 9223372036854775808",
+        ),
+        (
+            lambda: PredictionSet("m", ("a",), [[True]]),
+            ValidationError,
+            "m: probabilities must be real numbers, got bool values",
+        ),
+        (lambda: as_weights(["0.5", "0.5"], 2), ValidationError, "weights must be real numbers, got str96 values"),
+        (
+            lambda: argmax_class(["0.2", "0.8"]),
+            ValidationError,
+            "distribution must be real numbers, got str96 values",
+        ),
+        (lambda: nll([[True, False]], [0]), ValidationError, "fused must be real numbers, got bool values"),
+        (
+            lambda: PredictionSet("m", ("a", "b"), [[1.0], [0.5, 0.5]]),
+            DimensionError,
+            "m: probabilities must not be ragged",
+        ),
+        (lambda: nll([[1.0], [0.5, 0.5]], [0, 0]), DimensionError, "fused must not be ragged"),
+        (lambda: LabeledSamples(("a", "b"), [0, [1]]), DimensionError, "labels must not be ragged"),
+        (lambda: nll(np.full((2, 2), 0.5), [[0], 1]), DimensionError, "labels must not be ragged"),
+        (lambda: as_weights([1 + 0j, 1.0], 2), ValidationError, "weights must be real numbers, got complex128 values"),
+        (
+            lambda: fuse_weighted(build_ensemble([[[1.0]]], [0]), [None]),
+            ValidationError,
+            "weights must be real numbers, got object values",
+        ),
+        (lambda: argmax_classes(np.empty((1, 0))), DimensionError, "fused must have at least one class column"),
+        (lambda: argmax_class([]), DimensionError, "distribution must not be empty"),
+        (
+            lambda: EvaluationReport(0.0, 0.0, [[1e308, 1e308], [0.0, 0.0]], [1e308, 0.0], ("a",), 1),
+            ValidationError,
+            "confusion row 0 sums to inf, want 100 or 0",
+        ),
+        (
+            lambda: EvaluationReport(0.0, 0.0, [[1e308]], [-1e308], ("a",), 1),
+            ValidationError,
+            "per_class_accuracy must equal the confusion diagonal",
         ),
     ],
     ids=[
@@ -486,6 +617,21 @@ def test_labels_accept_an_empty_list_and_any_integer_dtype():
         "accuracy-labels-float",
         "confusion-labels-float",
         "confusion-no-classes",
+        "labels-uint64-above-int64",
+        "probs-bool",
+        "weights-text",
+        "argmax-text",
+        "nll-fused-bool",
+        "probs-ragged",
+        "nll-fused-ragged",
+        "labels-ragged",
+        "nll-labels-ragged",
+        "weights-complex",
+        "fuse-weights-object",
+        "argmax-no-class-column",
+        "argmax-empty",
+        "report-row-sum-overflows",
+        "report-diagonal-difference-overflows",
     ],
 )
 def test_each_error_path_raises_its_class_and_message(call, error, message):

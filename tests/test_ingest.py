@@ -525,8 +525,20 @@ class TestReportRendering:
     def test_class_name_legend(self):
         text = render_report_table(self._perfect_report(), class_names=["cat", "dog"])
         assert "C0 = cat" in text and "C1 = dog" in text
-        with pytest.raises(ValidationError):
-            render_report_table(self._perfect_report(), class_names=["only-one"])
+
+    @pytest.mark.parametrize(
+        "class_names, message",
+        [
+            (["only-one"], "1 class names for 2 classes"),
+            ("ab", "class_names must be a sequence of strings, got 'ab'"),
+            ([3, "dog"], "class_names[0] must be a string, got 3"),
+        ],
+        ids=["count", "bare-str", "not-a-str"],
+    )
+    def test_class_names_are_strings_one_per_class(self, class_names, message):
+        with pytest.raises(ValidationError) as info:
+            render_report_table(self._perfect_report(), class_names=class_names)
+        assert (type(info.value), str(info.value)) == (ValidationError, message)
 
 
 class TestWeightsFileValidation:
@@ -729,7 +741,6 @@ class TestTypedJsonFields:
         [
             ({"accuracy_percent": "100"}, "accuracy_percent must be a finite number, got '100'"),
             ({"confusion": [[100.0, "0"], [0.0, 100.0]]}, r"confusion\[0\]\[1\] must be a finite number"),
-            ({"confusion": [[100.0, 0.0], [100.0]]}, "confusion rows must all have the same length"),
             ({"confusion": "abc"}, "confusion must be an array, got 'abc'"),
             ({"per_class_accuracy": [100.0, False]}, r"per_class_accuracy\[1\] must be a finite number"),
             ({"classifier_names": 5}, "classifier_names must be an array, got 5"),
@@ -800,7 +811,14 @@ class TestTypedJsonFields:
                 DimensionError,
                 "per_class_accuracy length must match the confusion matrix",
             ),
-            (read_report, {"confusion": []}, DimensionError, "confusion matrix must be square, got shape (0,)"),
+            (read_report, {"confusion": []}, DimensionError, "confusion must be 2-D, got shape (0,)"),
+            (read_report, {"confusion": [[100.0, 0.0], [100.0]]}, DimensionError, "confusion must not be ragged"),
+            (
+                read_report,
+                {"confusion": [[100.0, 0.0]]},
+                DimensionError,
+                "confusion matrix must be square, got shape (1, 2)",
+            ),
             (read_weights, {"weights": [-1.0, 2.0]}, DegenerateWeightsError, "weights must be non-negative"),
             (read_weights, {"weights": [0.0, 0.0]}, DegenerateWeightsError, "weights must not sum to zero"),
             (
